@@ -65,7 +65,7 @@ bench:
 	$(GO) run ./cmd/ciflow serve -workload bootstrap $(WORKLOAD_FLAGS) -check -json BENCH_workload.json
 	$(GO) run ./cmd/ciflow serve -workload file:internal/workload/testdata/private-inference.schedule.json $(SCENARIO_FLAGS) -check -json BENCH_scenario.json
 	$(GO) build -o bin/ciflow ./cmd/ciflow && bin/ciflow cluster $(CLUSTER_FLAGS) -profile -check -json BENCH_cluster.json
-	$(GO) test -run NONE -bench 'KeySwitchN4096|SwitchParallel|SwitchHoisted' -benchtime 2x ./internal/hks/
+	$(GO) test -run NONE -bench 'KeySwitchN4096|SwitchParallel|SwitchHoisted' -benchtime 2x -benchmem ./internal/hks/
 
 # perfgate compares fresh BENCH_engine.json / BENCH_serve.json /
 # BENCH_workload.json against stashed baselines (the CI perf-

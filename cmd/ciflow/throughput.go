@@ -166,9 +166,9 @@ func throughputRun(dfName string, workers, requests, logN, towers, dnum, rotatio
 	}
 
 	// Reference output for the bit-exactness check; doubling as the
-	// serial warm-up so the baseline's converter scratch pools are as
-	// warm as the engine path's (the remaining serial/parallel gap at
-	// 1 worker is the serial API's per-op polynomial allocation).
+	// serial warm-up so the baseline's pooled tile state and converter
+	// scratch are as warm as the engine path's (the serial path then
+	// allocates only its two outputs per switch).
 	ref0, ref1 := sw.KeySwitch(ds[0], evk)
 
 	// With -profile active, reset the recorder before each measured

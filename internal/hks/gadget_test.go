@@ -88,7 +88,7 @@ func TestKeySwitchManyMatchesIndividual(t *testing.T) {
 	d := s.Uniform(sw.QBasis())
 	d.IsNTT = true
 
-	c0s, c1s := sw.KeySwitchMany(d, evks)
+	c0s, c1s := sw.SwitchHoisted(d, evks)
 	if len(c0s) != len(evks) || len(c1s) != len(evks) {
 		t.Fatalf("got %d/%d outputs", len(c0s), len(c1s))
 	}

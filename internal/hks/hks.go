@@ -1,11 +1,6 @@
 // Package hks implements the hybrid key-switching (HKS) algorithm of
 // Han–Ki in its full-RNS form — the computation whose dataflow CiFlow
-// analyzes (paper §III) — in three execution styles that are bit-exact
-// with one another: the serial pipeline (KeySwitch), engine-backed
-// task graphs shaped by the MP/DC/OC dataflows (SwitchParallel), and
-// hoisted switching (Hoisted, SwitchHoisted), which runs the
-// key-independent Decompose+ModUp half once per input and replays only
-// ApplyKey+ModDown per evaluation key.
+// analyzes (paper §III).
 //
 // Key switching converts a ciphertext component d that is decryptable
 // under a secret s′ into a pair (c0, c1) decryptable under s, using a
@@ -21,12 +16,25 @@
 //	        P3 NTT       — converted towers back to evaluation domain
 //	        P4 Sum&Scale — subtract and multiply by P⁻¹
 //
-// Every stage is exposed separately so that the dataflow generators in
-// internal/dataflow can be validated against the real computation.
+// The pipeline has one implementation: a set of per-tower and
+// per-digit tiles over one pooled state (tiles.go), which every
+// execution style runs in a different order. Serial KeySwitch runs the
+// tiles on the calling goroutine; SwitchParallel runs them as an
+// engine task graph shaped by the MP/DC/OC dataflow; hoisting (Hoist,
+// HoistParallel, SwitchHoisted) splits that graph at the ModUp/Apply
+// seam, so the key-independent Decompose+ModUp runs once per input and
+// only ApplyKey+ModDown replays per evaluation key; and the streamed
+// replay of a seed-compressed key is Apply waiting on each key digit
+// as it is expanded. All of them are bit-exact with one another. The
+// staged functions Decompose, ModUp, ApplyEvk and ModDown write each
+// stage directly over whole polynomials; no production path calls them,
+// so they are the independent reference the tests hold the tiles to,
+// and the per-stage probes that let internal/dataflow's generators be
+// validated against the real computation.
 //
 // A Switcher is immutable after construction and safe for concurrent
 // use; execution scratch lives in pooled per-call states, so
-// steady-state switching allocates nothing on the hot path. Hoisting
+// steady-state switching allocates nothing beyond its outputs. Hoisting
 // is how the layers above amortize fan-out: ckks.Evaluator's diagonal
 // method rotates one ciphertext many ways over a single hoisted state,
 // and internal/serve coalesces concurrent *requests* on one ciphertext
@@ -40,10 +48,8 @@ import (
 	"fmt"
 	"math/big"
 	"sync"
-	"time"
 
 	"ciflow/internal/bconv"
-	"ciflow/internal/obs"
 	"ciflow/internal/ring"
 )
 
@@ -71,11 +77,9 @@ type Switcher struct {
 	convDstIdx [][]int // [digit][converter dst idx] -> dBasis idx
 	dstIdxOf   [][]int // [digit][dBasis idx] -> converter dst idx or -1
 
-	// Pooled engine-execution states, one pool per dataflow shape
-	// (see parallel.go), plus the pooled hoisted states of hoisted.go.
+	// Pooled tile states (tiles.go), one pool per graph shape.
 	// Internally synchronized.
-	states       [3]sync.Pool
-	hoistedPools [3]sync.Pool
+	states [3]sync.Pool
 }
 
 // NewSwitcher prepares hybrid key switching over r at the given level
@@ -311,26 +315,18 @@ func (sw *Switcher) GenEvk(sampler *ring.Sampler, sOld, sNew *ring.Poly) *Evk {
 	return evk
 }
 
+// The staged reference pipeline (see the package comment): each stage
+// over whole polynomials, allocating its outputs.
+
 // Decompose splits d (NTT domain over B_ℓ) into its digit sub-
 // polynomials (views sharing d's storage).
 func (sw *Switcher) Decompose(d *ring.Poly) []*ring.Poly {
 	if !d.Basis.Equal(sw.qBasis) {
 		panic(fmt.Sprintf("hks: Decompose input basis %v, want %v", d.Basis, sw.qBasis))
 	}
-	rec := obs.Active()
-	var t0 time.Time
-	if rec != nil {
-		t0 = time.Now()
-	}
 	out := make([]*ring.Poly, sw.Dnum)
 	for j, dg := range sw.digits {
 		out[j] = d.SubPoly(dg)
-	}
-	if rec != nil {
-		// Views only — recorded so the serial profile shows Decompose
-		// is (nearly) free, which is what makes hoisting's shared
-		// Decompose+ModUp worth the state it carries.
-		rec.Stage(obs.StageDecompose, obs.DataflowSerial, sw.Level, time.Since(t0))
 	}
 	return out
 }
@@ -342,36 +338,17 @@ func (sw *Switcher) Decompose(d *ring.Poly) []*ring.Poly {
 // red towers).
 func (sw *Switcher) ModUp(d *ring.Poly) []*ring.Poly {
 	r := sw.R
-	rec := obs.Active()
-	digits := sw.Decompose(d)
 	out := make([]*ring.Poly, sw.Dnum)
-	var t0, t1, t2 time.Time
-	for j, dj := range digits {
-		if rec != nil {
-			t0 = time.Now()
-		}
+	for j, dj := range sw.Decompose(d) {
 		// P1: INTT the digit's towers (on a copy; the originals stay
 		// in the evaluation domain for the bypass path).
 		coeff := dj.Copy()
 		r.INTT(coeff)
-		if rec != nil {
-			t1 = time.Now()
-			rec.Kernel(obs.KernelNTT, obs.DataflowSerial, t1.Sub(t0))
-		}
-
 		// P2: basis-convert to the complement towers.
 		conv := r.NewPoly(sw.upConv[j].Dst())
 		sw.upConv[j].Convert(coeff, conv)
-		if rec != nil {
-			t2 = time.Now()
-			rec.Kernel(obs.KernelBConv, obs.DataflowSerial, t2.Sub(t1))
-		}
-
 		// P3: NTT the converted towers.
 		r.NTT(conv)
-		if rec != nil {
-			rec.Kernel(obs.KernelNTT, obs.DataflowSerial, time.Since(t2))
-		}
 
 		// Assemble the D_ℓ polynomial: bypass towers from the input,
 		// converted towers from P2/P3.
@@ -387,9 +364,6 @@ func (sw *Switcher) ModUp(d *ring.Poly) []*ring.Poly {
 			copy(up.Coeffs[i], src)
 		}
 		out[j] = up
-		if rec != nil {
-			rec.Stage(obs.StageModUp, obs.DataflowSerial, sw.Level, time.Since(t0))
-		}
 	}
 	return out
 }
@@ -398,20 +372,12 @@ func (sw *Switcher) ModUp(d *ring.Poly) []*ring.Poly {
 // evk pair and accumulate, returning two polynomials over D_ℓ (NTT).
 func (sw *Switcher) ApplyEvk(ups []*ring.Poly, evk *Evk) (c0, c1 *ring.Poly) {
 	r := sw.R
-	rec := obs.Active()
-	var t0 time.Time
-	if rec != nil {
-		t0 = time.Now()
-	}
 	c0 = r.NewPoly(sw.dBasis)
 	c1 = r.NewPoly(sw.dBasis)
 	c0.IsNTT, c1.IsNTT = true, true
 	for j, up := range ups {
 		r.MulAddCoeffwise(up, evk.B[j], c0)
 		r.MulAddCoeffwise(up, evk.A[j], c1)
-	}
-	if rec != nil {
-		rec.Stage(obs.StageApply, obs.DataflowSerial, sw.Level, time.Since(t0))
 	}
 	return c0, c1
 }
@@ -425,33 +391,14 @@ func (sw *Switcher) ModDown(c *ring.Poly) *ring.Poly {
 	if !c.Basis.Equal(sw.dBasis) {
 		panic(fmt.Sprintf("hks: ModDown input basis %v, want %v", c.Basis, sw.dBasis))
 	}
-	rec := obs.Active()
-	var t0, t1, t2, t3 time.Time
-	if rec != nil {
-		t0 = time.Now()
-	}
 	// P1: INTT the K P-towers.
 	pPart := c.SubPoly(sw.pBasis).Copy()
 	r.INTT(pPart)
-	if rec != nil {
-		t1 = time.Now()
-		rec.Kernel(obs.KernelNTT, obs.DataflowSerial, t1.Sub(t0))
-	}
-
 	// P2: convert P -> Q_ℓ.
 	conv := r.NewPoly(sw.qBasis)
 	sw.downConv.ConvertExact(pPart, conv)
-	if rec != nil {
-		t2 = time.Now()
-		rec.Kernel(obs.KernelBConv, obs.DataflowSerial, t2.Sub(t1))
-	}
-
 	// P3: back to the evaluation domain.
 	r.NTT(conv)
-	if rec != nil {
-		t3 = time.Now()
-		rec.Kernel(obs.KernelNTT, obs.DataflowSerial, t3.Sub(t2))
-	}
 
 	// P4: out = (c_Q - conv) · P^{-1} per tower.
 	out := r.NewPoly(sw.qBasis)
@@ -466,16 +413,22 @@ func (sw *Switcher) ModDown(c *ring.Poly) *ring.Poly {
 			oRow[k] = m.Mul(m.Sub(cRow[k], vRow[k]), pInv)
 		}
 	}
-	if rec != nil {
-		rec.Stage(obs.StageModDown, obs.DataflowSerial, sw.Level, time.Since(t0))
-	}
 	return out
 }
 
 // KeySwitch runs the complete HKS pipeline on d (NTT domain over B_ℓ),
-// returning (c0, c1) over B_ℓ such that c0 + c1·s ≈ d·s′.
+// returning (c0, c1) over B_ℓ such that c0 + c1·s ≈ d·s′. It is one
+// serial run of the tiles on the calling goroutine — the hoist's ModUp
+// and the replay's Apply and ModDown back to back, recorded under
+// obs.DataflowSerial — and allocates only its two outputs.
 func (sw *Switcher) KeySwitch(d *ring.Poly, evk *Evk) (c0, c1 *ring.Poly) {
-	ups := sw.ModUp(d)
-	d0, d1 := sw.ApplyEvk(ups, evk)
-	return sw.ModDown(d0), sw.ModDown(d1)
+	must(sw.CheckEvk(evk))
+	h := sw.Hoist(d)
+	// Allocated inside the run, so the chained serial spans cover them.
+	c0, c1 = sw.R.NewPoly(sw.qBasis), sw.R.NewPoly(sw.qBasis)
+	h.bind(evk, c0, c1)
+	h.replay()
+	h.unbind()
+	h.Release()
+	return c0, c1
 }

@@ -8,193 +8,25 @@ package hks
 // replays only ApplyKey+Reduce+ModDown per key, saving
 // (k−1)·ModUpOps weighted modular operations (HoistedOpsSaved).
 //
-// The Hoisted state materializes the ModUp output (dnum polynomials
-// over D_ℓ, bypass towers copied out of the input so the state
-// outlives it) together with all replay scratch and two prebuilt
-// task graphs:
-//
-//	hoist graph   — ModUp P1–P3 shaped by the chosen dataflow
-//	                (MP/OC: per-tower tiles, DC: per-digit pipelines)
-//	replay graph  — per-extended-tower ApplyKey accumulation followed
-//	                by the shared ModDown stages, identical for every
-//	                dataflow (the key-dependent half has no digit
-//	                pipeline left to reshape)
-//
-// Both the serial and engine-backed paths execute exactly the
-// operations of KeySwitch in the same per-coefficient order, so every
-// hoisted output is bit-exact with the corresponding per-rotation
-// switch — the property the equivalence tests assert.
-//
-// States are pooled on the Switcher (one pool per dataflow shape):
-// Hoist/HoistParallel draw from the pool and Release returns the
-// state, so steady-state hoisted switching allocates nothing beyond
-// the engine's per-run completion channel.
+// Hoisting is the switch pipeline of tiles.go split at the ModUp/Apply
+// seam: Hoist runs the ModUp tiles serially and HoistParallel runs them
+// as the hoist graph; each replay runs the Apply and ModDown tiles
+// serially (SwitchInto), as the replay graph (SwitchParallelInto), or
+// with Apply waiting on each digit of a streamed key
+// (SwitchStreamedInto). The replay graph is the same for every
+// dataflow: the key-dependent half has no digit pipeline left to
+// reshape. States are pooled on the Switcher, so steady-state hoisted
+// switching allocates nothing beyond the engine's per-run completion
+// channel.
 
 import (
 	"fmt"
-	"time"
 
 	"ciflow/internal/dataflow"
 	"ciflow/internal/engine"
 	"ciflow/internal/obs"
 	"ciflow/internal/ring"
 )
-
-// Hoisted is the shared-ModUp state of one input polynomial, ready to
-// be replayed against any number of evaluation keys. Obtain it with
-// Hoist or HoistParallel, replay with Switch/SwitchInto/
-// SwitchParallelInto, and return it to the switcher's pool with
-// Release. A Hoisted must not be used concurrently or after Release;
-// concurrent hoisting of different inputs on one Switcher is safe.
-type Hoisted struct {
-	downState
-	df dataflow.Dataflow
-
-	ups []*ring.Poly // dnum ModUp outputs over D_ℓ (NTT domain)
-	y   [][]uint64   // ℓ rows: INTT'd + ŷ-scaled digit towers
-
-	hoistG  *engine.Graph
-	replayG *engine.Graph
-
-	d   *ring.Poly // bound during the hoist phase only
-	evk *Evk       // bound during each replay
-}
-
-func newHoisted(sw *Switcher, df dataflow.Dataflow) *Hoisted {
-	ell, n := sw.ell(), sw.R.N
-	h := &Hoisted{df: df}
-	h.initDown(sw)
-
-	h.ups = make([]*ring.Poly, sw.Dnum)
-	for j := range h.ups {
-		h.ups[j] = sw.R.NewPoly(sw.dBasis)
-		h.ups[j].IsNTT = true
-	}
-	h.y = make([][]uint64, ell)
-	for i := range h.y {
-		h.y[i] = make([]uint64, n)
-	}
-
-	// Hoist graph: ModUp P1–P3 shaped by the dataflow.
-	h.hoistG = engine.NewGraph()
-	if dfKey(df) == 1 { // DC: one node per digit pipeline
-		for j := 0; j < sw.Dnum; j++ {
-			h.hoistG.NodeNamed("hoist.digit", func() { h.hoistDigit(j) })
-		}
-	} else { // MP and OC: per-tower prep, per-tile convert
-		prep := make([]int, ell)
-		for i := 0; i < ell; i++ {
-			prep[i] = h.hoistG.NodeNamed("hoist.prep", func() { h.hoistPrep(i) })
-		}
-		for j := 0; j < sw.Dnum; j++ {
-			deps := prep[sw.digitLo(j):sw.digitHi(j)]
-			for di := range sw.convDstIdx[j] {
-				h.hoistG.NodeNamed("hoist.conv", func() { h.hoistConvert(j, di) }, deps...)
-			}
-		}
-	}
-
-	// Replay graph: per-tower ApplyKey, then the shared ModDown.
-	h.replayG = engine.NewGraph()
-	acc := make([]int, len(sw.dBasis))
-	for t := range acc {
-		acc[t] = h.replayG.NodeNamed("apply", func() { h.applyTower(t) })
-	}
-	h.buildModDown(h.replayG, acc)
-	return h
-}
-
-// ---- Hoist-phase tiles ----
-
-// hoistPrep is ModUp P1 for Q tower i plus the digit's ŷ scaling, and
-// copies the bypass row into the owning digit's ModUp output (paper
-// Figure 1, red towers) so the state outlives the input.
-func (h *Hoisted) hoistPrep(i int) {
-	sw, rec := h.sw, h.rec
-	var t0, t1 time.Time
-	if rec != nil {
-		t0 = time.Now()
-	}
-	j := i / sw.Alpha
-	copy(h.ups[j].Coeffs[i], h.d.Coeffs[i])
-	row := h.y[i]
-	copy(row, h.d.Coeffs[i])
-	sw.R.INTTTower(sw.qBasis[i], row)
-	if rec != nil {
-		t1 = time.Now()
-		rec.Kernel(obs.KernelNTT, h.dfIdx, t1.Sub(t0))
-	}
-	sw.upConv[j].YScaleRow(i-sw.digitLo(j), row, row)
-	if rec != nil {
-		now := time.Now()
-		rec.Kernel(obs.KernelBConv, h.dfIdx, now.Sub(t1))
-		rec.Stage(obs.StageModUp, h.dfIdx, h.level, now.Sub(t0))
-	}
-}
-
-// hoistConvert is ModUp P2+P3 for one (digit, destination tower)
-// tile, writing straight into the digit's ModUp output.
-func (h *Hoisted) hoistConvert(j, di int) {
-	sw, rec := h.sw, h.rec
-	var t0, t1 time.Time
-	if rec != nil {
-		t0 = time.Now()
-	}
-	t := sw.convDstIdx[j][di]
-	row := h.ups[j].Coeffs[t]
-	sw.upConv[j].ConvertTowerFromY(h.y[sw.digitLo(j):sw.digitHi(j)], di, row)
-	if rec != nil {
-		t1 = time.Now()
-		rec.Kernel(obs.KernelBConv, h.dfIdx, t1.Sub(t0))
-	}
-	sw.R.NTTTower(sw.dBasis[t], row)
-	if rec != nil {
-		now := time.Now()
-		rec.Kernel(obs.KernelNTT, h.dfIdx, now.Sub(t1))
-		rec.Stage(obs.StageModUp, h.dfIdx, h.level, now.Sub(t0))
-	}
-}
-
-// hoistDigit is the DC tile: one digit's entire ModUp run serially.
-func (h *Hoisted) hoistDigit(j int) {
-	for i := h.sw.digitLo(j); i < h.sw.digitHi(j); i++ {
-		h.hoistPrep(i)
-	}
-	for di := range h.sw.convDstIdx[j] {
-		h.hoistConvert(j, di)
-	}
-}
-
-// applyTower is the replay tile for one extended tower: accumulate
-// every hoisted digit's partial product against the evaluation key
-// (same per-coefficient order as switchState.applyTower, hence
-// bit-exact with ApplyEvk).
-func (h *Hoisted) applyTower(t int) {
-	sw, rec := h.sw, h.rec
-	var t0 time.Time
-	if rec != nil {
-		t0 = time.Now()
-	}
-	m := sw.R.Mods[sw.dBasis[t]]
-	b0, b1 := h.acc0.Coeffs[t], h.acc1.Coeffs[t]
-	for k := range b0 {
-		b0[k], b1[k] = 0, 0
-	}
-	for j := 0; j < sw.Dnum; j++ {
-		up := h.ups[j].Coeffs[t]
-		eb := h.evk.B[j].Coeffs[t]
-		ea := h.evk.A[j].Coeffs[t]
-		for k := range b0 {
-			b0[k] = m.Add(b0[k], m.Mul(up[k], eb[k]))
-			b1[k] = m.Add(b1[k], m.Mul(up[k], ea[k]))
-		}
-	}
-	if rec != nil {
-		rec.Stage(obs.StageApply, h.dfIdx, h.level, time.Since(t0))
-	}
-}
-
-// ---- Public API ----
 
 // Hoist runs Decompose+ModUp once over d (NTT domain over B_ℓ) on the
 // calling goroutine and returns the reusable hoisted state. Call
@@ -213,33 +45,19 @@ func (sw *Switcher) HoistParallel(e *engine.Engine, df dataflow.Dataflow, d *rin
 	return sw.hoist(e, df, d)
 }
 
+// hoist runs the ModUp tiles over d serially (nil e, recorded under
+// DataflowSerial) or as df's hoist graph on e.
 func (sw *Switcher) hoist(e *engine.Engine, df dataflow.Dataflow, d *ring.Poly) *Hoisted {
-	if !d.Basis.Equal(sw.qBasis) || !d.IsNTT {
-		panic(fmt.Sprintf("hks: Hoist input must be NTT-domain over %v, got %v (ntt=%v)",
-			sw.qBasis, d.Basis, d.IsNTT))
-	}
+	must(sw.CheckInput(d))
 	k := dfKey(df)
-	var h *Hoisted
-	if v := sw.hoistedPools[k].Get(); v != nil {
-		h = v.(*Hoisted)
-	} else {
-		h = newHoisted(sw, df)
+	label := obs.Dataflow(k)
+	if e == nil {
+		label = obs.DataflowSerial
 	}
-	h.rec = obs.Active()
-	h.dfIdx = obs.DataflowSerial
-	if e != nil {
-		h.dfIdx = obs.Dataflow(dfKey(df))
-	}
+	h := sw.state(k, label, e == nil)
 	h.d = d
 	if e == nil {
-		for i := 0; i < sw.ell(); i++ {
-			h.hoistPrep(i)
-		}
-		for j := 0; j < sw.Dnum; j++ {
-			for di := range sw.convDstIdx[j] {
-				h.hoistConvert(j, di)
-			}
-		}
+		h.modUp()
 	} else {
 		e.RunGraph(h.hoistG)
 	}
@@ -251,31 +69,18 @@ func (sw *Switcher) hoist(e *engine.Engine, df dataflow.Dataflow, d *ring.Poly) 
 // not be used afterwards.
 func (h *Hoisted) Release() {
 	h.rec = nil
-	h.sw.hoistedPools[dfKey(h.df)].Put(h)
+	h.sw.states[h.slot].Put(h)
 }
 
-func (h *Hoisted) checkReplay(evk *Evk, c0, c1 *ring.Poly) {
-	sw := h.sw
-	if len(evk.B) != sw.Dnum || len(evk.A) != sw.Dnum {
-		panic(fmt.Sprintf("hks: evk has %d digits, switcher expects %d", len(evk.B), sw.Dnum))
-	}
-	if !c0.Basis.Equal(sw.qBasis) || !c1.Basis.Equal(sw.qBasis) {
-		panic("hks: hoisted switch output basis mismatch")
-	}
-	// The two outputs' tiles run concurrently with no cross dependency,
-	// so aliased storage would race silently.
-	if c0 == c1 || sameStorage(c0, c1) {
-		panic("hks: hoisted switch outputs must not alias each other")
-	}
-}
-
+// bind validates the outputs and binds them and the key for one run.
 func (h *Hoisted) bind(evk *Evk, c0, c1 *ring.Poly) {
-	h.evk, h.out0, h.out1 = evk, c0, c1
+	h.sw.mustOutputs(c0, c1)
+	h.evk, h.out = evk, [2]*ring.Poly{c0, c1}
 }
 
-func (h *Hoisted) unbind(c0, c1 *ring.Poly) {
-	h.evk, h.out0, h.out1 = nil, nil, nil
-	c0.IsNTT, c1.IsNTT = true, true
+func (h *Hoisted) unbind() {
+	h.out[0].IsNTT, h.out[1].IsNTT = true, true
+	h.evk, h.out = nil, [2]*ring.Poly{}
 }
 
 // Switch replays the hoisted ModUp against one evaluation key,
@@ -291,66 +96,24 @@ func (h *Hoisted) Switch(evk *Evk) (c0, c1 *ring.Poly) {
 // SwitchInto is Switch writing into caller-provided outputs; the
 // serial replay performs zero allocations.
 func (h *Hoisted) SwitchInto(evk *Evk, c0, c1 *ring.Poly) {
-	h.checkReplay(evk, c0, c1)
+	must(h.sw.CheckEvk(evk))
 	h.bind(evk, c0, c1)
-	for t := range h.sw.dBasis {
-		h.applyTower(t)
-	}
-	h.runModDownSerial()
-	h.unbind(c0, c1)
+	h.run(true)
+	h.replay()
+	h.unbind()
 }
 
 // SwitchParallelInto is SwitchInto with the replay executed as a task
 // graph on e (nil uses engine.Default()). Bit-exact with SwitchInto.
 func (h *Hoisted) SwitchParallelInto(e *engine.Engine, evk *Evk, c0, c1 *ring.Poly) {
-	h.checkReplay(evk, c0, c1)
+	must(h.sw.CheckEvk(evk))
 	if e == nil {
 		e = engine.Default()
 	}
 	h.bind(evk, c0, c1)
+	h.run(false)
 	e.RunGraph(h.replayG)
-	h.unbind(c0, c1)
-}
-
-// checkStreamed is checkReplay for the streamed path, where the evk
-// arrives digit by digit instead of as one dense value.
-func (h *Hoisted) checkStreamed(st *ExpandStream, c0, c1 *ring.Poly) {
-	sw := h.sw
-	if st.Digits() != sw.Dnum {
-		panic(fmt.Sprintf("hks: streamed evk has %d digits, switcher expects %d", st.Digits(), sw.Dnum))
-	}
-	if !c0.Basis.Equal(sw.qBasis) || !c1.Basis.Equal(sw.qBasis) {
-		panic("hks: hoisted switch output basis mismatch")
-	}
-	if c0 == c1 || sameStorage(c0, c1) {
-		panic("hks: hoisted switch outputs must not alias each other")
-	}
-}
-
-// accumulateDigit folds one streamed evk digit into the replay
-// accumulators. For any fixed (tower, coefficient) the digit-ascending
-// calls perform exactly applyTower's operation sequence — zero, then
-// add digit 0, 1, … — and modular adds are exact, so the streamed
-// replay is bit-identical to the tower-major dense one.
-func (h *Hoisted) accumulateDigit(j int, eb, ea *ring.Poly) {
-	sw, rec := h.sw, h.rec
-	var t0 time.Time
-	if rec != nil {
-		t0 = time.Now()
-	}
-	for t := range sw.dBasis {
-		m := sw.R.Mods[sw.dBasis[t]]
-		up := h.ups[j].Coeffs[t]
-		b0, b1 := h.acc0.Coeffs[t], h.acc1.Coeffs[t]
-		ebr, ear := eb.Coeffs[t], ea.Coeffs[t]
-		for k := range b0 {
-			b0[k] = m.Add(b0[k], m.Mul(up[k], ebr[k]))
-			b1[k] = m.Add(b1[k], m.Mul(up[k], ear[k]))
-		}
-	}
-	if rec != nil {
-		rec.Stage(obs.StageApply, h.dfIdx, h.level, time.Since(t0))
-	}
+	h.unbind()
 }
 
 // SwitchStreamedInto replays the hoisted ModUp against a compressed
@@ -361,31 +124,24 @@ func (h *Hoisted) accumulateDigit(j int, eb, ea *ring.Poly) {
 // was started before Hoist/HoistParallel) and this apply loop itself.
 // Bit-exact with SwitchInto of the expanded dense key.
 func (h *Hoisted) SwitchStreamedInto(st *ExpandStream, c0, c1 *ring.Poly) {
-	h.checkStreamed(st, c0, c1)
+	if st.Digits() != h.sw.Dnum {
+		panic(fmt.Sprintf("hks: streamed evk has %d digits, switcher expects %d", st.Digits(), h.sw.Dnum))
+	}
 	h.bind(nil, c0, c1)
+	h.run(true)
 	for t := range h.sw.dBasis {
-		b0, b1 := h.acc0.Coeffs[t], h.acc1.Coeffs[t]
-		for k := range b0 {
-			b0[k], b1[k] = 0, 0
-		}
+		h.zeroAcc(t)
 	}
-	rec := h.rec
-	var t0 time.Time
 	for j := 0; j < h.sw.Dnum; j++ {
-		if rec != nil {
-			t0 = time.Now()
-		}
+		// Time blocked on the expander: ~0 when the stream runs ahead,
+		// the expansion stall the overlap is meant to hide otherwise.
+		sp := h.span()
 		eb, ea := st.Digit(j)
-		if rec != nil {
-			// Time blocked on the expander: when the stream runs ahead
-			// this is ~0; when the consumer outpaces it, this is the
-			// expansion stall the overlap is meant to hide.
-			rec.Stage(obs.StageExpand, h.dfIdx, h.level, time.Since(t0))
-		}
-		h.accumulateDigit(j, eb, ea)
+		sp.stage(obs.StageExpand)
+		h.applyDigit(j, eb, ea)
 	}
-	h.runModDownSerial()
-	h.unbind(c0, c1)
+	h.modDown()
+	h.unbind()
 }
 
 // SwitchStreamed is the full overlapped miss path for one compressed

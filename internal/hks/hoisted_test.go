@@ -7,6 +7,7 @@ import (
 
 	"ciflow/internal/dataflow"
 	"ciflow/internal/engine"
+	"ciflow/internal/obs"
 	"ciflow/internal/params"
 	"ciflow/internal/ring"
 )
@@ -137,6 +138,42 @@ func TestHoistedSerialReplayZeroAlloc(t *testing.T) {
 		h.SwitchInto(evk, c0, c1)
 	}); allocs > 0 {
 		t.Fatalf("serial hoisted replay allocates %v times per run, want 0", allocs)
+	}
+}
+
+// allocSink keeps measured results on the heap, as a caller's would be.
+var allocSink [2]*ring.Poly
+
+// TestKeySwitchAllocatesOnlyOutputs asserts the serial switch
+// allocates no more than its two output polynomials, with profiling on
+// and off — the tiles' scratch is pooled and their timing spans are
+// plain values.
+func TestKeySwitchAllocatesOnlyOutputs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	r, s, sOld, sNew := testSetup(t, 64, 4, 30, 2, 31)
+	sw, err := NewSwitcher(r, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evk := sw.GenEvk(s, sOld, sNew)
+	d := s.Uniform(sw.QBasis())
+	d.IsNTT = true
+	outputs := testing.AllocsPerRun(10, func() {
+		allocSink[0], allocSink[1] = r.NewPoly(sw.QBasis()), r.NewPoly(sw.QBasis())
+	})
+	for _, profiled := range []bool{false, true} {
+		if profiled {
+			obs.Enable()
+		}
+		sw.KeySwitch(d, evk) // warm the state pool
+		if allocs := testing.AllocsPerRun(10, func() {
+			allocSink[0], allocSink[1] = sw.KeySwitch(d, evk)
+		}); allocs > outputs {
+			t.Errorf("profiled=%v: KeySwitch allocates %v times per run, its two outputs %v", profiled, allocs, outputs)
+		}
+		obs.Disable()
 	}
 }
 

@@ -41,6 +41,12 @@ func TestSwitchParallelBitExact(t *testing.T) {
 			d := s.Uniform(sw.QBasis())
 			d.IsNTT = true
 			want0, want1 := sw.KeySwitch(d, evk)
+			// The staged reference keeps an implementation independent
+			// of the tiles in the loop.
+			ref0, ref1 := sw.ApplyEvk(sw.ModUp(d), evk)
+			if !want0.Equal(sw.ModDown(ref0)) || !want1.Equal(sw.ModDown(ref1)) {
+				t.Fatal("KeySwitch differs from the staged reference ModDown(ApplyEvk(ModUp(d)))")
+			}
 			for _, df := range engineDataflows {
 				t.Run(df.String(), func(t *testing.T) {
 					got0, got1 := sw.SwitchParallel(e, df, d, evk)

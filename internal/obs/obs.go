@@ -45,8 +45,8 @@ type Stage uint8
 
 const (
 	// StageDecompose is the gadget decomposition of the input
-	// polynomial into digits. On the engine paths this is a zero-copy
-	// view and records no time; the serial path times it.
+	// polynomial into digits: each tower's copy into its digit's
+	// ModUp output, timed per tower on every path.
 	StageDecompose Stage = iota
 	// StageModUp is the digit raise: per digit, INTT out of the
 	// evaluation domain, exact base conversion into the extended

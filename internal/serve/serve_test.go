@@ -64,17 +64,26 @@ func newTestBench(t *testing.T, rots int, tenants ...string) *testBench {
 // keySource is a memoized backing store, like ckks.KeyChains: every
 // load of one KeyID returns identical key material.
 func (b *testBench) keySource() KeySource {
-	return KeySourceFunc(func(id KeyID) (*hks.Evk, error) {
+	return KeyMaterialFunc(func(id KeyID) (hks.KeyMaterial, error) {
 		b.loads.Add(1)
 		if id.Level != benchLevel {
 			return nil, fmt.Errorf("no keys at level %d", id.Level)
 		}
-		evk, ok := b.evks[id.Tenant][id.Rot]
-		if !ok {
+		mat := b.key(id.Tenant, id.Rot)
+		if mat == nil {
 			return nil, fmt.Errorf("no key for tenant %q rotation %d", id.Tenant, id.Rot)
 		}
-		return evk, nil
+		return mat, nil
 	})
+}
+
+// key returns a tenant's pregenerated key for rot, or nil material —
+// never a typed-nil *hks.Evk — when the bench has none.
+func (b *testBench) key(tenant string, rot int) hks.KeyMaterial {
+	if evk := b.evks[tenant][rot]; evk != nil {
+		return evk
+	}
+	return nil
 }
 
 // config routes zero-Level requests to benchLevel.
@@ -453,12 +462,12 @@ func TestTenantIsolationBackpressure(t *testing.T) {
 	gate := make(chan struct{})
 	entered := make(chan struct{})
 	var once sync.Once
-	src := KeySourceFunc(func(id KeyID) (*hks.Evk, error) {
+	src := KeyMaterialFunc(func(id KeyID) (hks.KeyMaterial, error) {
 		if id.Tenant == "hot" {
 			once.Do(func() { close(entered) })
 			<-gate
 		}
-		return b.evks[id.Tenant][id.Rot], nil
+		return b.key(id.Tenant, id.Rot), nil
 	})
 	svc, err := New(b.pool, src, b.config(Config{
 		Engine:     e,
@@ -535,12 +544,12 @@ func TestSubmitBlockedDoesNotStallNewTenant(t *testing.T) {
 	gate := make(chan struct{})
 	entered := make(chan struct{})
 	var once sync.Once
-	src := KeySourceFunc(func(id KeyID) (*hks.Evk, error) {
+	src := KeyMaterialFunc(func(id KeyID) (hks.KeyMaterial, error) {
 		if id.Tenant == "hot" {
 			once.Do(func() { close(entered) })
 			<-gate
 		}
-		return b.evks[id.Tenant][id.Rot], nil
+		return b.key(id.Tenant, id.Rot), nil
 	})
 	svc, err := New(b.pool, src, b.config(Config{
 		Engine:     e,
@@ -638,12 +647,12 @@ func TestBackpressure(t *testing.T) {
 	gate := make(chan struct{})
 	entered := make(chan struct{})
 	var once sync.Once
-	blockingSrc := KeySourceFunc(func(id KeyID) (*hks.Evk, error) {
+	blockingSrc := KeyMaterialFunc(func(id KeyID) (hks.KeyMaterial, error) {
 		if id.Rot == 0 {
 			once.Do(func() { close(entered) })
 			<-gate
 		}
-		return b.evks[""][id.Rot], nil
+		return b.key("", id.Rot), nil
 	})
 	svc, err := New(b.pool, blockingSrc, b.config(Config{
 		Engine:     e,
