@@ -367,42 +367,16 @@ func clusterRun(cfg clusterConfig) (*clusterReport, error) {
 	if cfg.kill && cfg.shards < 2 {
 		return nil, fmt.Errorf("cluster: -kill needs -shards >= 2 so survivors can absorb the drain")
 	}
-	if cfg.logN < 4 || cfg.logN > 16 {
-		return nil, fmt.Errorf("cluster: logn %d out of range [4,16]", cfg.logN)
-	}
-	bts, err := workload.BTSBenchmark(cfg.bts)
+	dnum, df, err := replayParams(cfg.logN, cfg.towers, cfg.dnum, cfg.bts, cfg.dfName)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	if cfg.dnum == 0 {
-		// Same digit-structure inheritance as the one-process replay
-		// (workloadRun): the -bts set's dnum, raised to keep every
-		// digit coverable by the replay ring's three P moduli.
-		cfg.dnum = bts.Dnum
-		if min := (cfg.towers + 2) / 3; cfg.dnum < min {
-			cfg.dnum = min
-		}
-	}
-	if cfg.dnum > cfg.towers {
-		return nil, fmt.Errorf("cluster: dnum %d exceeds %d towers", cfg.dnum, cfg.towers)
-	}
+	cfg.dnum = dnum
 	if cfg.workers <= 0 {
 		// Split the machine across the shard processes rather than
 		// oversubscribing it shards times.
-		cfg.workers = runtime.GOMAXPROCS(0) / cfg.shards
-		if cfg.workers < 1 {
-			cfg.workers = 1
-		}
+		cfg.workers = max(runtime.GOMAXPROCS(0)/cfg.shards, 1)
 	}
-	dfName := cfg.dfName
-	if dfName == "all" {
-		dfName = "mp"
-	}
-	dfs, err := parseThroughputDataflows(dfName)
-	if err != nil {
-		return nil, err
-	}
-	df := dfs[0]
 
 	n := 1 << cfg.logN
 	cctx, err := ckks.NewContext(n, cfg.towers, 40, 3, 41, cfg.dnum)
@@ -498,8 +472,9 @@ func clusterRun(cfg clusterConfig) (*clusterReport, error) {
 	}
 
 	type tenantOut struct {
-		res *workload.ReplayResult
-		err error
+		tenant string
+		res    *workload.ReplayResult
+		err    error
 	}
 	outs := make(chan tenantOut, cfg.tenants)
 	start := time.Now()
@@ -515,7 +490,7 @@ func clusterRun(cfg clusterConfig) (*clusterReport, error) {
 				&cluster.TenantView{Router: rt, Tenant: tn},
 				cctx.Switchers(), serve.KeyChains{tn: kc}, cctx.R, sched,
 				workload.ReplayConfig{Tenant: tn, Dataflow: df, Seed: cluster.KeySeed(tn), Check: true})
-			outs <- tenantOut{res, err}
+			outs <- tenantOut{tn, res, err}
 		}(tn)
 	}
 	wg.Wait()
@@ -537,16 +512,23 @@ func clusterRun(cfg clusterConfig) (*clusterReport, error) {
 	if cfg.workload == "bootstrap" {
 		rep.BTS = cfg.bts
 	}
+	// Fold the tenants' replays so every verdict must hold for every
+	// tenant: the folded coalescing factor is the weakest tenant's,
+	// and a tenant failing the shared replay verdict is named.
 	for i := 0; i < cfg.tenants; i++ {
 		o := <-outs
 		if o.err != nil {
 			return nil, o.err
 		}
+		if err := o.res.Verdict(); err != nil {
+			rep.Mismatches = append(rep.Mismatches, fmt.Sprintf("tenant %s: %v", o.tenant, err))
+		}
 		rep.CountsExact = rep.CountsExact && o.res.CountsExact
 		rep.BitExact = rep.BitExact && o.res.Checked && o.res.BitExact
 		rep.DepViolations += o.res.DepViolations
-		rep.Mismatches = append(rep.Mismatches, o.res.Mismatches...)
-		rep.HoistCoalescingFactor = o.res.HoistCoalescingFactor
+		if i == 0 || o.res.HoistCoalescingFactor < rep.HoistCoalescingFactor {
+			rep.HoistCoalescingFactor = o.res.HoistCoalescingFactor
+		}
 	}
 	rep.OpsPerSec = float64(total) / wall.Seconds()
 
@@ -571,7 +553,11 @@ func clusterRun(cfg clusterConfig) (*clusterReport, error) {
 	for i := 0; i < rt.NumShards(); i++ {
 		rep.CompletedSum += rt.Completed(i)
 	}
-	rep.ShardSumExact, rep.Mismatches = shardSumCheck(agg, pred, cfg.tenants, rep.Mismatches)
+	shardSum := sched.CompareBooks(pred, agg, cfg.tenants)
+	rep.ShardSumExact = len(shardSum) == 0
+	for _, m := range shardSum {
+		rep.Mismatches = append(rep.Mismatches, "shard-sum "+m)
+	}
 
 	for _, st := range rt.Status() {
 		rep.PerShard = append(rep.PerShard, clusterShardReport{
@@ -671,56 +657,13 @@ func profileSumExact(shards []*obs.Snapshot, merged *obs.Snapshot) bool {
 	return true
 }
 
-// shardSumCheck compares the aggregated shard books against tenants x
-// the schedule prediction, per level included.
-func shardSumCheck(agg serve.Stats, pred workload.Counts, tenants int, mism []string) (bool, []string) {
-	exact := true
-	n := uint64(tenants)
-	want := func(what string, got, wantV uint64) {
-		if got != wantV {
-			exact = false
-			mism = append(mism, fmt.Sprintf("shard-sum %s: measured %d, predicted %d", what, got, wantV))
-		}
-	}
-	want("served", agg.Served, n*uint64(pred.Switches))
-	want("mod_ups", agg.ModUps, n*uint64(pred.ModUps))
-	want("groups", agg.Groups, n*uint64(pred.ModUps))
-	want("coalesced", agg.Coalesced, n*uint64(pred.Coalesced))
-	measured := map[int]serve.LevelStats{}
-	for _, ls := range agg.PerLevel {
-		measured[ls.Level] = ls
-	}
-	for _, pl := range pred.PerLevel {
-		m := measured[pl.Level]
-		want(fmt.Sprintf("level %d switches", pl.Level), m.Switches, n*uint64(pl.Switches))
-		want(fmt.Sprintf("level %d mod_ups", pl.Level), m.ModUps, n*uint64(pl.ModUps))
-		want(fmt.Sprintf("level %d coalesced", pl.Level), m.Coalesced, n*uint64(pl.Coalesced))
-		delete(measured, pl.Level)
-	}
-	for l, m := range measured {
-		if m.Switches != 0 || m.ModUps != 0 || m.Coalesced != 0 {
-			exact = false
-			mism = append(mism, fmt.Sprintf("shard-sum: level %d has %d/%d/%d but the schedule predicts nothing there",
-				l, m.Switches, m.ModUps, m.Coalesced))
-		}
-	}
-	return exact, mism
-}
-
 // clusterCheck is the acceptance bar behind `ciflow cluster -check`:
 // bit-exact over the wire, counts exact per tenant, shard books
 // summing to the prediction, and router delivery/attribution exact —
 // including across a -kill drain.
 func clusterCheck(rep *clusterReport) error {
-	if !rep.BitExact {
-		return fmt.Errorf("cluster check: replay not bit-exact with local serial execution")
-	}
-	if !rep.CountsExact {
-		return fmt.Errorf("cluster check: a tenant's measured counters drifted from the schedule prediction: %v",
-			rep.Mismatches)
-	}
-	if rep.DepViolations != 0 {
-		return fmt.Errorf("cluster check: %d dependency-order violations", rep.DepViolations)
+	if err := rep.replay().Verdict(); err != nil {
+		return fmt.Errorf("cluster check: %w", err)
 	}
 	if !rep.ShardSumExact {
 		return fmt.Errorf("cluster check: per-shard stats do not sum to the global prediction: %v", rep.Mismatches)
@@ -733,13 +676,21 @@ func clusterCheck(rep *clusterReport) error {
 		return fmt.Errorf("cluster check: per-shard completion attribution sums to %d, want exactly %d (a retry was double-counted)",
 			rep.CompletedSum, total)
 	}
-	if rep.Predicted.HoistGroups > 0 && rep.HoistCoalescingFactor <= 1 {
-		return fmt.Errorf("cluster check: hoist-group coalescing factor %.2f, want > 1", rep.HoistCoalescingFactor)
-	}
 	if rep.Profiled && !rep.ProfileSumExact {
 		return fmt.Errorf("cluster check: merged stage-histogram buckets do not equal the sum of the per-shard snapshots")
 	}
 	return nil
+}
+
+// replay is the report's tenant-folded verdict half as a
+// workload.ReplayResult, so cluster -check applies the same replay
+// verdict as serve -workload -check.
+func (rep *clusterReport) replay() *workload.ReplayResult {
+	return &workload.ReplayResult{
+		Predicted: rep.Predicted, CountsExact: rep.CountsExact, Mismatches: rep.Mismatches,
+		HoistCoalescingFactor: rep.HoistCoalescingFactor, DepViolations: rep.DepViolations,
+		Checked: rep.BitExact, BitExact: rep.BitExact,
+	}
 }
 
 func clusterCmd(cfg clusterConfig, jsonPath string, check bool) error {
@@ -778,16 +729,5 @@ func clusterCmd(cfg clusterConfig, jsonPath string, check bool) error {
 		printStageShares(rep.StageShares)
 	}
 
-	if jsonPath != "" {
-		if err := writeJSONReport(jsonPath, rep); err != nil {
-			return err
-		}
-	}
-	if check {
-		if err := clusterCheck(rep); err != nil {
-			return err
-		}
-		fmt.Println("cluster check passed")
-	}
-	return nil
+	return finishReport(rep, jsonPath, check, "cluster", clusterCheck)
 }

@@ -91,7 +91,7 @@ func TestClusterCmdJSON(t *testing.T) {
 	if err := clusterCmd(tinyClusterConfig(), path, true); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := readClusterReport(path)
+	rep, err := readReport(path, clusterGate.empty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestPerfgateCluster(t *testing.T) {
 	}
 	basePath := write("base.json", goodClusterReport())
 
-	if err := perfgatePaths("x", "x", 2, "", "", "", "", basePath, ""); err == nil {
+	if err := perfgatePaths("x", "x", "", "", "", "", basePath, ""); err == nil {
 		t.Fatal("-cluster-baseline without -cluster-fresh accepted")
 	}
 
@@ -166,7 +166,7 @@ func TestPerfgateCluster(t *testing.T) {
 		BitExact: true,
 		Results:  []throughputRow{{Dataflow: "MP", OpsPerSec: 100}},
 	})
-	if err := perfgatePaths(tBase, tBase, 2, "", "", "", "", basePath, basePath); err != nil {
+	if err := perfgatePaths(tBase, tBase, "", "", "", "", basePath, basePath); err != nil {
 		t.Fatalf("identical cluster reports failed the gate: %v", err)
 	}
 
@@ -190,7 +190,7 @@ func TestPerfgateCluster(t *testing.T) {
 		rep := goodClusterReport()
 		mut(&rep)
 		p := write(strings.ReplaceAll(name, " ", "_")+".json", rep)
-		if err := perfgatePaths(tBase, tBase, 2, "", "", "", "", basePath, p); err == nil {
+		if err := perfgatePaths(tBase, tBase, "", "", "", "", basePath, p); err == nil {
 			t.Errorf("%s: cluster gate passed", name)
 		}
 	}
@@ -199,21 +199,21 @@ func TestPerfgateCluster(t *testing.T) {
 	drainedBase := goodClusterReport()
 	drainedBase.Drained = 1
 	dPath := write("drained_base.json", drainedBase)
-	if err := perfgatePaths(tBase, tBase, 2, "", "", "", "", dPath, basePath); err == nil {
+	if err := perfgatePaths(tBase, tBase, "", "", "", "", dPath, basePath); err == nil {
 		t.Error("fresh run without a drain passed against a drained baseline")
 	}
-	if err := perfgatePaths(tBase, tBase, 2, "", "", "", "", dPath, dPath); err != nil {
+	if err := perfgatePaths(tBase, tBase, "", "", "", "", dPath, dPath); err != nil {
 		t.Errorf("drained pair failed: %v", err)
 	}
 
-	if err := perfgatePaths(tBase, tBase, 2, "", "", "", "", dir+"/missing.json", basePath); err == nil {
+	if err := perfgatePaths(tBase, tBase, "", "", "", "", dir+"/missing.json", basePath); err == nil {
 		t.Error("missing cluster baseline accepted")
 	}
 	empty := filepath.Join(dir, "empty.json")
 	if err := os.WriteFile(empty, []byte("{}"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := perfgatePaths(tBase, tBase, 2, "", "", "", "", empty, basePath); err == nil {
+	if err := perfgatePaths(tBase, tBase, "", "", "", "", empty, basePath); err == nil {
 		t.Error("empty cluster baseline accepted")
 	}
 }

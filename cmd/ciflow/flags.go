@@ -95,18 +95,8 @@ type cliFlags struct {
 	addr       *string
 	shardAddrs *string
 
-	// perfgate
-	baseline         *string
-	freshPath        *string
-	serveBaseline    *string
-	serveFresh       *string
-	workloadBaseline *string
-	workloadFresh    *string
-	scenarioBaseline *string
-	scenarioFresh    *string
-	clusterBaseline  *string
-	clusterFresh     *string
-	maxRegression    *float64
+	// perfgate: each gate row's (baseline, fresh) flags, by kind
+	gatePaths map[string][2]*string
 }
 
 func newFlags() *cliFlags {
@@ -136,7 +126,7 @@ func newFlags() *cliFlags {
 	fl.keyComp = fs.Bool("keycomp", false, "serve: cache seed-compressed evaluation keys, expanded per digit at use")
 	fl.maxBatch = fs.Int("batch", 64, "serve micro-batch size cap")
 	fl.window = fs.Duration("window", 500*time.Microsecond, "serve micro-batch gather window")
-	fl.check = fs.Bool("check", false, "serve: fail unless coalescing > 1, hit rates > 50%, keyspaces isolated, bit-exact")
+	fl.check = fs.Bool("check", false, "serve/cluster: fail unless the report passes its acceptance bar (the one perfgate applies)")
 
 	fl.workloadName = fs.String("workload", "fanout", "serve/schedule shape: fanout, bootstrap, matvec, pir, private-inference, evalmod, or file:<path>")
 	fl.bts = fs.Int("bts", 2, "BTS parameter set (1, 2, or 3) shaping bootstrap schedules")
@@ -155,17 +145,18 @@ func newFlags() *cliFlags {
 	fl.addr = fs.String("addr", "127.0.0.1:0", "shard listen address")
 	fl.shardAddrs = fs.String("shardaddrs", "", "router: comma-separated shard addresses")
 
-	fl.baseline = fs.String("baseline", "BENCH_engine.json", "perfgate throughput baseline report")
-	fl.freshPath = fs.String("fresh", "bench_fresh.json", "perfgate fresh throughput report")
-	fl.serveBaseline = fs.String("serve-baseline", "", "perfgate serve baseline report (empty = skip serve gate)")
-	fl.serveFresh = fs.String("serve-fresh", "", "perfgate fresh serve report (empty = skip serve gate)")
-	fl.workloadBaseline = fs.String("workload-baseline", "", "perfgate workload-replay baseline report (empty = skip workload gate)")
-	fl.workloadFresh = fs.String("workload-fresh", "", "perfgate fresh workload-replay report (empty = skip workload gate)")
-	fl.scenarioBaseline = fs.String("scenario-baseline", "", "perfgate scenario-replay baseline report (empty = skip scenario gate)")
-	fl.scenarioFresh = fs.String("scenario-fresh", "", "perfgate fresh scenario-replay report (empty = skip scenario gate)")
-	fl.clusterBaseline = fs.String("cluster-baseline", "", "perfgate cluster baseline report (empty = skip cluster gate)")
-	fl.clusterFresh = fs.String("cluster-fresh", "", "perfgate fresh cluster report (empty = skip cluster gate)")
-	fl.maxRegression = fs.Float64("max-regression", 2, "perfgate allowed ops/sec drop factor")
+	fl.gatePaths = map[string][2]*string{}
+	for _, r := range gateRows {
+		b, f := r.flagNames()
+		skip := ""
+		if r.baseline == "" {
+			skip = " (empty = skip " + r.kind + " gate)"
+		}
+		fl.gatePaths[r.kind] = [2]*string{
+			fs.String(b, r.baseline, "perfgate "+r.kind+" baseline report"+skip),
+			fs.String(f, r.fresh, "perfgate fresh "+r.kind+" report"+skip),
+		}
+	}
 
 	return fl
 }

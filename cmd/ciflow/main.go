@@ -82,13 +82,11 @@
 //	               -scenario-fresh, an imported library-scenario
 //	               replay; with -cluster-baseline/
 //	               -cluster-fresh, sharded cluster) JSON reports
-//	               against committed baselines, fail on gross
-//	               (> -max-regression x) ops/sec drops or broken
-//	               invariants (cross-tenant coalescing, budget
-//	               overruns, starved tenants, schedule counters
-//	               drifting from predictions, dependency-order
-//	               violations, shard books not summing to the global
-//	               prediction, lost or double-counted router retries)
+//	               against committed baselines, one table row per
+//	               report kind; fail on gross (> 2x) ops/sec drops,
+//	               on the fresh report failing its kind's -check
+//	               acceptance bar, or on it shrinking the shape its
+//	               baseline pins
 //	all            everything above in paper order (except throughput,
 //	               serve, schedule, shard, router, cluster, perfgate)
 //	help           the same experiment and flag summary on the CLI
@@ -126,15 +124,18 @@
 //	               half the budget, bit-exactly
 //	-batch B       serve micro-batch size cap (default 64)
 //	-window D      serve micro-batch gather window (default 500µs)
-//	-check         serve: exit non-zero unless coalescing factor > 1,
+//	-check         serve/cluster: exit non-zero unless the report
+//	               passes its kind's acceptance bar, the same one
+//	               perfgate applies. serve: coalescing factor > 1,
 //	               global and per-tenant cache hit rates > 50%,
 //	               resident key bytes within budget, keyspaces
-//	               isolated, and results bit-exact; with a schedule
-//	               -workload: unless the replay is bit-exact with
-//	               serial execution, measured counters equal the
-//	               schedule's predictions exactly, dependency order
-//	               holds, and hoist groups (when the schedule has any)
-//	               coalesce (factor > 1)
+//	               isolated, expansions counted only with -keycomp,
+//	               and results bit-exact; with a schedule -workload
+//	               (and in cluster, for every tenant): the replay
+//	               verdict — bit-exact with serial execution, measured
+//	               counters equal to the schedule's predictions
+//	               exactly, dependency order held, and hoist groups
+//	               (when the schedule has any) coalescing (factor > 1)
 //	-workload W    serve/schedule shape: fanout (default; independent
 //	               bursts), bootstrap (CoeffToSlot/SlotToCoeff DAG),
 //	               matvec (baby-step/giant-step DAG), pir (wide
@@ -179,7 +180,6 @@
 //	-scenario-fresh F     perfgate fresh scenario-replay report (default: skip)
 //	-cluster-baseline F   perfgate cluster baseline (default: skip)
 //	-cluster-fresh F      perfgate fresh cluster report (default: skip)
-//	-max-regression X  perfgate allowed ops/sec drop factor (default 2)
 package main
 
 import (
@@ -393,19 +393,11 @@ func run(args []string) error {
 			profile:   *fl.profile,
 		}, *fl.jsonPath, *fl.check)
 	case "perfgate":
-		return perfgate(perfgateConfig{
-			Baseline:         *fl.baseline,
-			Fresh:            *fl.freshPath,
-			MaxRegression:    *fl.maxRegression,
-			ServeBaseline:    *fl.serveBaseline,
-			ServeFresh:       *fl.serveFresh,
-			WorkloadBaseline: *fl.workloadBaseline,
-			WorkloadFresh:    *fl.workloadFresh,
-			ScenarioBaseline: *fl.scenarioBaseline,
-			ScenarioFresh:    *fl.scenarioFresh,
-			ClusterBaseline:  *fl.clusterBaseline,
-			ClusterFresh:     *fl.clusterFresh,
-		})
+		paths := map[string][2]string{}
+		for kind, p := range fl.gatePaths {
+			paths[kind] = [2]string{*p[0], *p[1]}
+		}
+		return perfgate(paths)
 	case "all":
 		fmt.Print(analysis.FormatTableIII())
 		fmt.Println()
@@ -462,6 +454,25 @@ func writeJSONReport(path string, rep any) error {
 		return err
 	}
 	fmt.Printf("wrote %s\n", path)
+	return nil
+}
+
+// finishReport is the shared tail of the verbs with -json and -check:
+// write rep to jsonPath when set, then, with -check, apply accept, the
+// report kind's acceptance bar (the same function perfgate applies).
+func finishReport[R any](rep *R, jsonPath string, check bool, kind string, accept func(*R) error) error {
+	if jsonPath != "" {
+		if err := writeJSONReport(jsonPath, rep); err != nil {
+			return err
+		}
+	}
+	if !check {
+		return nil
+	}
+	if err := accept(rep); err != nil {
+		return err
+	}
+	fmt.Println(kind + " check passed")
 	return nil
 }
 

@@ -231,7 +231,7 @@ func TestPerfgate(t *testing.T) {
 	}
 	okPath := dir + "/ok.json"
 	writeReport(t, okPath, ok)
-	if err := perfgatePaths(basePath, okPath, 2, "", "", "", "", "", ""); err != nil {
+	if err := perfgatePaths(basePath, okPath, "", "", "", "", "", ""); err != nil {
 		t.Fatalf("perfgate failed on healthy report: %v", err)
 	}
 
@@ -245,7 +245,7 @@ func TestPerfgate(t *testing.T) {
 	}
 	badPath := dir + "/bad.json"
 	writeReport(t, badPath, bad)
-	if err := perfgatePaths(basePath, badPath, 2, "", "", "", "", "", ""); err == nil {
+	if err := perfgatePaths(basePath, badPath, "", "", "", "", "", ""); err == nil {
 		t.Fatal("perfgate passed a >2x regression")
 	}
 
@@ -258,7 +258,7 @@ func TestPerfgate(t *testing.T) {
 	}
 	slowPath := dir + "/slow.json"
 	writeReport(t, slowPath, slowHoist)
-	if err := perfgatePaths(basePath, slowPath, 2, "", "", "", "", "", ""); err == nil {
+	if err := perfgatePaths(basePath, slowPath, "", "", "", "", "", ""); err == nil {
 		t.Fatal("perfgate passed a hoisted slowdown")
 	}
 
@@ -277,7 +277,7 @@ func TestPerfgate(t *testing.T) {
 	}
 	noHoistPath := dir + "/no_hoist.json"
 	writeReport(t, noHoistPath, noHoist)
-	if err := perfgatePaths(hoistedBasePath, noHoistPath, 2, "", "", "", "", "", ""); err == nil {
+	if err := perfgatePaths(hoistedBasePath, noHoistPath, "", "", "", "", "", ""); err == nil {
 		t.Fatal("perfgate passed a fresh report that dropped the hoisted section")
 	}
 
@@ -287,7 +287,7 @@ func TestPerfgate(t *testing.T) {
 	}
 	inexactPath := dir + "/inexact.json"
 	writeReport(t, inexactPath, inexact)
-	if err := perfgatePaths(basePath, inexactPath, 2, "", "", "", "", "", ""); err == nil {
+	if err := perfgatePaths(basePath, inexactPath, "", "", "", "", "", ""); err == nil {
 		t.Fatal("perfgate passed a non-bit-exact report")
 	}
 }
@@ -315,7 +315,7 @@ func TestPerfgateStageShares(t *testing.T) {
 	// A healthy profiled report: serial sums to ~1, MP within workers+2.
 	okPath := dir + "/ok.json"
 	writeReport(t, okPath, profiled(0.95, 2.1))
-	if err := perfgatePaths(basePath, okPath, 2, "", "", "", "", "", ""); err != nil {
+	if err := perfgatePaths(basePath, okPath, "", "", "", "", "", ""); err != nil {
 		t.Fatalf("perfgate failed on healthy stage shares: %v", err)
 	}
 
@@ -323,7 +323,7 @@ func TestPerfgateStageShares(t *testing.T) {
 	for _, sum := range []float64{0.5, 1.3} {
 		p := dir + "/serial_off.json"
 		writeReport(t, p, profiled(sum, 1.8))
-		if err := perfgatePaths(basePath, p, 2, "", "", "", "", "", ""); err == nil {
+		if err := perfgatePaths(basePath, p, "", "", "", "", "", ""); err == nil {
 			t.Errorf("perfgate passed a serial share sum of %.1f", sum)
 		}
 	}
@@ -331,7 +331,7 @@ func TestPerfgateStageShares(t *testing.T) {
 	// Engine rows are bounded by workers+2.
 	highMP := dir + "/high_mp.json"
 	writeReport(t, highMP, profiled(1.0, 9.0))
-	if err := perfgatePaths(basePath, highMP, 2, "", "", "", "", "", ""); err == nil {
+	if err := perfgatePaths(basePath, highMP, "", "", "", "", "", ""); err == nil {
 		t.Error("perfgate passed an MP share sum of 9.0 at 2 workers")
 	}
 
@@ -345,11 +345,11 @@ func TestPerfgateStageShares(t *testing.T) {
 	}
 	barePath := dir + "/bare.json"
 	writeReport(t, barePath, bare)
-	if err := perfgatePaths(basePath, barePath, 2, "", "", "", "", "", ""); err == nil {
+	if err := perfgatePaths(basePath, barePath, "", "", "", "", "", ""); err == nil {
 		t.Error("perfgate passed a fresh report that dropped its stage shares")
 	}
 	// ...but an unprofiled baseline does not demand one.
-	if err := perfgatePaths(barePath, barePath, 2, "", "", "", "", "", ""); err != nil {
+	if err := perfgatePaths(barePath, barePath, "", "", "", "", "", ""); err != nil {
 		t.Errorf("perfgate failed on an unprofiled pair: %v", err)
 	}
 }
@@ -359,20 +359,17 @@ func TestPerfgateErrors(t *testing.T) {
 	good := dir + "/good.json"
 	writeReport(t, good, &throughputReport{BitExact: true,
 		Results: []throughputRow{{Dataflow: "serial", OpsPerSec: 1}}})
-	if err := perfgatePaths(dir+"/missing.json", good, 2, "", "", "", "", "", ""); err == nil {
+	if err := perfgatePaths(dir+"/missing.json", good, "", "", "", "", "", ""); err == nil {
 		t.Error("missing baseline accepted")
 	}
-	if err := perfgatePaths(good, dir+"/missing.json", 2, "", "", "", "", "", ""); err == nil {
+	if err := perfgatePaths(good, dir+"/missing.json", "", "", "", "", "", ""); err == nil {
 		t.Error("missing fresh report accepted")
-	}
-	if err := perfgatePaths(good, good, 0.5, "", "", "", "", "", ""); err == nil {
-		t.Error("tolerance below 1 accepted")
 	}
 	empty := dir + "/empty.json"
 	if err := os.WriteFile(empty, []byte("{}"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := perfgatePaths(empty, good, 2, "", "", "", "", "", ""); err == nil {
+	if err := perfgatePaths(empty, good, "", "", "", "", "", ""); err == nil {
 		t.Error("empty baseline accepted")
 	}
 }
@@ -550,7 +547,7 @@ func TestPerfgateServe(t *testing.T) {
 		Requests: 64, OpsPerSec: 51, CoalescingFactor: 2,
 		KeyHitRate: 0.6, BitExact: true,
 	})
-	if err := perfgatePaths(basePath, freshPath, 2, sBase, sOK, "", "", "", ""); err != nil {
+	if err := perfgatePaths(basePath, freshPath, sBase, sOK, "", "", "", ""); err != nil {
 		t.Fatalf("perfgate failed on healthy serve report: %v", err)
 	}
 
@@ -571,10 +568,14 @@ func TestPerfgateServe(t *testing.T) {
 			Tenants: []serveTenantReport{{Tenant: "t0", Served: 64, ModUps: 8, KeyHitRate: 0.9}, {Tenant: "t1", KeyHitRate: 0.9}}},
 		"cross-tenant-coalesce": {Requests: 64, OpsPerSec: 100, CoalescingFactor: 4, ModUps: 8, KeyHitRate: 0.9, BitExact: true,
 			Tenants: healthyTenants[:1]},
+		// A dense-key run (no -keycomp) has nothing to expand, so any
+		// counted streamed expansion means the books are wrong.
+		"dense-expansions": {Requests: 64, OpsPerSec: 100, CoalescingFactor: 4, KeyHitRate: 0.9, BitExact: true,
+			KeyComp: false, KeyExpansions: 3},
 	} {
 		p := dir + "/serve_" + name + ".json"
 		writeServeReport(t, p, bad)
-		if err := perfgatePaths(basePath, freshPath, 2, sBase, p, "", "", "", ""); err == nil {
+		if err := perfgatePaths(basePath, freshPath, sBase, p, "", "", "", ""); err == nil {
 			t.Errorf("%s: perfgate passed a degraded serve report", name)
 		}
 	}
@@ -585,7 +586,7 @@ func TestPerfgateServe(t *testing.T) {
 		Requests: 64, OpsPerSec: 100, CoalescingFactor: 4, ModUps: 8,
 		KeyHitRate: 0.9, BitExact: true, Tenants: healthyTenants,
 	})
-	if err := perfgatePaths(basePath, freshPath, 2, tenantBase, sOK, "", "", "", ""); err == nil {
+	if err := perfgatePaths(basePath, freshPath, tenantBase, sOK, "", "", "", ""); err == nil {
 		t.Error("perfgate passed a fresh report that dropped the tenant stats")
 	}
 	tenantOK := dir + "/serve_tenant_ok.json"
@@ -594,7 +595,7 @@ func TestPerfgateServe(t *testing.T) {
 		KeyHitRate: 0.9, BitExact: true, KeyBudget: 100, KeyBytes: 80,
 		Tenants: healthyTenants,
 	})
-	if err := perfgatePaths(basePath, freshPath, 2, tenantBase, tenantOK, "", "", "", ""); err != nil {
+	if err := perfgatePaths(basePath, freshPath, tenantBase, tenantOK, "", "", "", ""); err != nil {
 		t.Errorf("perfgate failed a healthy multi-tenant report: %v", err)
 	}
 	// Shrinking the tenant matrix (2 -> 1) must fail the pinning check
@@ -604,23 +605,23 @@ func TestPerfgateServe(t *testing.T) {
 		Requests: 64, OpsPerSec: 90, CoalescingFactor: 4, ModUps: 4,
 		KeyHitRate: 0.9, BitExact: true, Tenants: healthyTenants[:1],
 	})
-	if err := perfgatePaths(basePath, freshPath, 2, tenantBase, shrunk, "", "", "", ""); err == nil {
+	if err := perfgatePaths(basePath, freshPath, tenantBase, shrunk, "", "", "", ""); err == nil {
 		t.Error("perfgate passed a fresh report with a shrunken tenant matrix")
 	}
 
 	// Half-specified serve gate flags and unreadable reports error out.
-	if err := perfgatePaths(basePath, freshPath, 2, sBase, "", "", "", "", ""); err == nil {
+	if err := perfgatePaths(basePath, freshPath, sBase, "", "", "", "", ""); err == nil {
 		t.Error("half-specified serve gate accepted")
 	}
-	if err := perfgatePaths(basePath, freshPath, 2, sBase, dir+"/missing.json", "", "", "", ""); err == nil {
+	if err := perfgatePaths(basePath, freshPath, sBase, dir+"/missing.json", "", "", "", ""); err == nil {
 		t.Error("missing fresh serve report accepted")
 	}
-	if err := perfgatePaths(basePath, freshPath, 2, dir+"/missing.json", sOK, "", "", "", ""); err == nil {
+	if err := perfgatePaths(basePath, freshPath, dir+"/missing.json", sOK, "", "", "", ""); err == nil {
 		t.Error("missing serve baseline accepted")
 	}
 	empty := dir + "/serve_empty.json"
 	writeServeReport(t, empty, &serveReport{})
-	if err := perfgatePaths(basePath, freshPath, 2, empty, sOK, "", "", "", ""); err == nil {
+	if err := perfgatePaths(basePath, freshPath, empty, sOK, "", "", "", ""); err == nil {
 		t.Error("empty serve baseline accepted")
 	}
 }
@@ -854,7 +855,7 @@ func TestPerfgateWorkload(t *testing.T) {
 	ok := healthy()
 	ok.OpsPerSec = 51
 	writeWorkloadReport(t, wOK, ok)
-	if err := perfgatePaths(basePath, basePath, 2, "", "", wBase, wOK, "", ""); err != nil {
+	if err := perfgatePaths(basePath, basePath, "", "", wBase, wOK, "", ""); err != nil {
 		t.Fatalf("perfgate failed on a healthy workload report: %v", err)
 	}
 
@@ -883,25 +884,39 @@ func TestPerfgateWorkload(t *testing.T) {
 		mut(bad)
 		p := dir + "/workload_" + name + ".json"
 		writeWorkloadReport(t, p, bad)
-		if err := perfgatePaths(basePath, basePath, 2, "", "", wBase, p, "", ""); err == nil {
+		if err := perfgatePaths(basePath, basePath, "", "", wBase, p, "", ""); err == nil {
 			t.Errorf("%s: perfgate passed a degraded workload report", name)
 		}
 	}
 
 	// Half-specified flags, unreadable and empty reports error out.
-	if err := perfgatePaths(basePath, basePath, 2, "", "", wBase, "", "", ""); err == nil {
+	if err := perfgatePaths(basePath, basePath, "", "", wBase, "", "", ""); err == nil {
 		t.Error("half-specified workload gate accepted")
 	}
-	if err := perfgatePaths(basePath, basePath, 2, "", "", wBase, dir+"/missing.json", "", ""); err == nil {
+	if err := perfgatePaths(basePath, basePath, "", "", wBase, dir+"/missing.json", "", ""); err == nil {
 		t.Error("missing fresh workload report accepted")
 	}
-	if err := perfgatePaths(basePath, basePath, 2, "", "", dir+"/missing.json", wOK, "", ""); err == nil {
+	if err := perfgatePaths(basePath, basePath, "", "", dir+"/missing.json", wOK, "", ""); err == nil {
 		t.Error("missing workload baseline accepted")
 	}
 	empty := dir + "/workload_empty.json"
 	writeWorkloadReport(t, empty, &workloadReport{})
-	if err := perfgatePaths(basePath, basePath, 2, "", "", empty, wOK, "", ""); err == nil {
+	if err := perfgatePaths(basePath, basePath, "", "", empty, wOK, "", ""); err == nil {
 		t.Error("empty workload baseline accepted")
+	}
+}
+
+// TestPerfgateCommittedBaselines gates every committed BENCH_*.json
+// report against itself through every row of the gate: the unified
+// acceptance checks must accept the real baselines.
+func TestPerfgateCommittedBaselines(t *testing.T) {
+	paths := map[string][2]string{}
+	for _, r := range gateRows {
+		p := "../../BENCH_" + r.kind + ".json"
+		paths[r.kind] = [2]string{p, p}
+	}
+	if err := perfgate(paths); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -959,15 +974,13 @@ func TestHelpMatchesREADME(t *testing.T) {
 	}
 }
 
-// perfgatePaths adapts the historical positional call sites of these
-// tests to perfgateConfig; the order mirrors the gate's layer order
-// (throughput, serve, workload, cluster). The scenario pair reuses the
-// workload gate and is exercised directly in TestPerfgateScenario.
-func perfgatePaths(base, fresh string, maxReg float64, sBase, sFresh, wBase, wFresh, cBase, cFresh string) error {
-	return perfgate(perfgateConfig{
-		Baseline: base, Fresh: fresh, MaxRegression: maxReg,
-		ServeBaseline: sBase, ServeFresh: sFresh,
-		WorkloadBaseline: wBase, WorkloadFresh: wFresh,
-		ClusterBaseline: cBase, ClusterFresh: cFresh,
+// perfgatePaths adapts the positional call sites of these tests to the
+// gate's per-kind path map; the order mirrors the gate's row order
+// (engine, serve, workload, cluster). The scenario row shares the
+// workload rules and is exercised directly in TestPerfgateScenario.
+func perfgatePaths(base, fresh, sBase, sFresh, wBase, wFresh, cBase, cFresh string) error {
+	return perfgate(map[string][2]string{
+		"engine": {base, fresh}, "serve": {sBase, sFresh},
+		"workload": {wBase, wFresh}, "cluster": {cBase, cFresh},
 	})
 }

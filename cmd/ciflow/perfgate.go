@@ -1,474 +1,164 @@
 package main
 
-// perfgate is the CI performance-regression gate: it compares a fresh
-// throughput report (make bench) against the committed baseline
-// (BENCH_engine.json) and fails only on gross regressions. The
-// tolerance is deliberately generous — the baseline and the CI runner
-// are different machines, so the gate catches order-of-magnitude
-// breakage (an accidentally serialized hot path, a lost pool), not
-// noise.
+// perfgate is the CI performance-regression gate: it compares fresh
+// reports (make bench) against committed baselines, one table row per
+// report kind. Every row reads its pair with the same generic reader,
+// fails only on gross ops/sec regressions — the baseline and the CI
+// runner are different machines, so the tolerance catches
+// order-of-magnitude breakage (an accidentally serialized hot path, a
+// lost pool), not noise — and then applies two machine-independent
+// layers: the kind's own acceptance bar (the function behind its
+// -check flag) to the fresh report, and the baseline-vs-fresh pins,
+// so a bench run with a smaller shape, or without a flag that fills
+// part of the report, cannot pass just because its own invariants
+// hold.
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 
 	"ciflow/internal/obs"
 )
 
-func readReport(path string) (*throughputReport, error) {
+// maxRegression is the allowed ops/sec drop: a fresh rate fails only
+// below 1/maxRegression of its baseline.
+const maxRegression = 2
+
+// opsRate is one gated ops/sec figure. The label pairs it with its
+// baseline figure and names it in the output; empty means the row's
+// kind.
+type opsRate struct {
+	label  string
+	perSec float64
+}
+
+// reportGate is the gate of one report kind R.
+type reportGate[R any] struct {
+	empty   func(*R) bool                 // the report measured nothing
+	rates   func(*R) []opsRate            // its ops/sec figures
+	check   func(*R) error                // the kind's -check acceptance bar
+	pins    func(base, fresh *R) []string // baseline-vs-fresh pins
+	summary func(*R) string               // one informational line
+}
+
+// readReport decodes one JSON report and rejects a report that
+// measured nothing.
+func readReport[R any](path string, empty func(*R) bool) (*R, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var rep throughputReport
+	var rep R
 	if err := json.Unmarshal(data, &rep); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if len(rep.Results) == 0 {
-		return nil, fmt.Errorf("%s: no result rows", path)
+	if empty(&rep) {
+		return nil, fmt.Errorf("%s: report measured nothing", path)
 	}
 	return &rep, nil
 }
 
-func readServeReport(path string) (*serveReport, error) {
-	data, err := os.ReadFile(path)
+// gate reads one report pair and returns the fresh report's failures,
+// each prefixed with the row's kind.
+func (g reportGate[R]) gate(kind, basePath, freshPath string) ([]string, error) {
+	base, err := readReport(basePath, g.empty)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s baseline: %w", kind, err)
 	}
-	var rep serveReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Requests == 0 {
-		return nil, fmt.Errorf("%s: no served requests", path)
-	}
-	return &rep, nil
-}
-
-func readWorkloadReport(path string) (*workloadReport, error) {
-	data, err := os.ReadFile(path)
+	fresh, err := readReport(freshPath, g.empty)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s fresh: %w", kind, err)
 	}
-	var rep workloadReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Served == 0 {
-		return nil, fmt.Errorf("%s: no served switches", path)
-	}
-	return &rep, nil
-}
-
-// perfgateWorkload gates one schedule-DAG replay report pair: the
-// generous ops/sec tolerance, plus the machine-independent schedule
-// invariants — the replay bit-exact with serial execution, measured
-// counters equal to the schedule's predictions (one ModUp per group
-// means zero coalesces across dependent chain steps and none missing
-// inside hoist groups), dependency order respected, and — when the
-// schedule has hoistable fan-outs — a hoist-group coalescing factor
-// above 1 — which must hold at any speed. It gates both the generated
-// bench schedule (label "workload") and the imported library scenario
-// (label "scenario"); the label prefixes every failure so the two
-// gates stay distinguishable in CI output.
-func perfgateWorkload(label, baselinePath, freshPath string, maxRegression float64, failures *[]string) error {
-	base, err := readWorkloadReport(baselinePath)
-	if err != nil {
-		return fmt.Errorf("%s baseline: %w", label, err)
-	}
-	fresh, err := readWorkloadReport(freshPath)
-	if err != nil {
-		return fmt.Errorf("%s fresh: %w", label, err)
-	}
-	ratio := fresh.OpsPerSec / base.OpsPerSec
-	status := "ok"
-	if fresh.OpsPerSec*maxRegression < base.OpsPerSec {
-		status = "FAIL"
-		*failures = append(*failures,
-			fmt.Sprintf("%s: %.2f ops/sec vs baseline %.2f (>%.1fx regression)",
-				label, fresh.OpsPerSec, base.OpsPerSec, maxRegression))
-	}
-	fmt.Printf("%-8s %14.2f %14.2f %7.2fx %6s\n", label, base.OpsPerSec, fresh.OpsPerSec, ratio, status)
-	if !fresh.BitExact {
-		*failures = append(*failures, label+": replay not bit-exact with serial schedule execution")
-	}
-	if !fresh.CountsExact {
-		*failures = append(*failures,
-			fmt.Sprintf("%s: measured counters drifted from the schedule's prediction: %v",
-				label, fresh.Mismatches))
-	}
-	if fresh.DepViolations != 0 {
-		*failures = append(*failures,
-			fmt.Sprintf("%s: %d dependency-order violations", label, fresh.DepViolations))
-	}
-	if fresh.Predicted.HoistGroups > 0 && fresh.HoistCoalescingFactor <= 1 {
-		*failures = append(*failures,
-			fmt.Sprintf("%s: hoist-group coalescing factor %.2f, want > 1", label, fresh.HoistCoalescingFactor))
-	}
-	// The baseline pins the schedule shape, like the serve gate pins
-	// the tenant matrix: a bench run against a smaller or
-	// dependency-free schedule must not pass just because its own
-	// internal invariants hold.
-	if fresh.Predicted.Switches < base.Predicted.Switches {
-		*failures = append(*failures,
-			fmt.Sprintf("%s: fresh schedule has %d switches, baseline %d (bench run with a smaller schedule?)",
-				label, fresh.Predicted.Switches, base.Predicted.Switches))
-	}
-	if fresh.Predicted.HoistGroups < base.Predicted.HoistGroups {
-		*failures = append(*failures,
-			fmt.Sprintf("%s: fresh schedule has %d hoist groups, baseline %d (bench run with a flatter schedule?)",
-				label, fresh.Predicted.HoistGroups, base.Predicted.HoistGroups))
-	}
-	if fresh.Predicted.Depth < base.Predicted.Depth {
-		*failures = append(*failures,
-			fmt.Sprintf("%s: fresh schedule has depth %d, baseline %d (bench run with a shallower schedule?)",
-				label, fresh.Predicted.Depth, base.Predicted.Depth))
-	}
-	fmt.Printf("%s %s: %d switches, %d/%d ModUps (predicted/measured), hoist coalescing %.2fx, depth %d\n",
-		label, fresh.Schedule, fresh.Served, fresh.Predicted.ModUps, fresh.ModUps,
-		fresh.HoistCoalescingFactor, fresh.Predicted.Depth)
-	return nil
-}
-
-func readClusterReport(path string) (*clusterReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep clusterReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Served == 0 {
-		return nil, fmt.Errorf("%s: no served switches", path)
-	}
-	return &rep, nil
-}
-
-// perfgateCluster gates the sharded serving fabric: the generous
-// ops/sec tolerance, plus the distribution invariants that must hold
-// at any speed — per-shard stats summing exactly to tenants x the
-// schedule prediction, bit-exactness end-to-end over the wire, exact
-// router delivery and attribution (no result lost or double-counted
-// across retries), and dependency order. The baseline pins the fabric
-// shape: a bench run with fewer shards or tenants — or without the
-// mid-replay drain — must not pass just because its own invariants
-// hold.
-func perfgateCluster(baselinePath, freshPath string, maxRegression float64, failures *[]string) error {
-	base, err := readClusterReport(baselinePath)
-	if err != nil {
-		return fmt.Errorf("cluster baseline: %w", err)
-	}
-	fresh, err := readClusterReport(freshPath)
-	if err != nil {
-		return fmt.Errorf("cluster fresh: %w", err)
-	}
-	ratio := fresh.OpsPerSec / base.OpsPerSec
-	status := "ok"
-	if fresh.OpsPerSec*maxRegression < base.OpsPerSec {
-		status = "FAIL"
-		*failures = append(*failures,
-			fmt.Sprintf("cluster: %.2f ops/sec vs baseline %.2f (>%.1fx regression)",
-				fresh.OpsPerSec, base.OpsPerSec, maxRegression))
-	}
-	fmt.Printf("%-8s %14.2f %14.2f %7.2fx %6s\n", "cluster", base.OpsPerSec, fresh.OpsPerSec, ratio, status)
-	if err := clusterCheck(fresh); err != nil {
-		*failures = append(*failures, err.Error())
-	}
-	if fresh.Shards < base.Shards {
-		*failures = append(*failures,
-			fmt.Sprintf("cluster: fresh report covers %d shards, baseline %d (bench run with fewer shards?)",
-				fresh.Shards, base.Shards))
-	}
-	if fresh.Tenants < base.Tenants {
-		*failures = append(*failures,
-			fmt.Sprintf("cluster: fresh report covers %d tenants, baseline %d (bench run with fewer tenants?)",
-				fresh.Tenants, base.Tenants))
-	}
-	if base.Drained >= 0 && fresh.Drained < 0 {
-		*failures = append(*failures,
-			"cluster: baseline drained a shard mid-replay but the fresh run did not (bench run without -kill?)")
-	}
-	// clusterCheck above already fails when a profiled run's merged
-	// histograms drift from the per-shard sums; this pin keeps the
-	// profile in the fresh report at all (bench run without -profile).
-	if base.Profiled && !fresh.Profiled {
-		*failures = append(*failures,
-			"cluster: baseline shipped shard stage profiles but the fresh run did not (bench run without -profile?)")
-	}
-	fmt.Printf("cluster %s: %d shards x %d tenants, %d delivered, shard-sum exact %v, bit-exact %v, drained shard %d\n",
-		fresh.Schedule, fresh.Shards, fresh.Tenants, fresh.Delivered,
-		fresh.ShardSumExact, fresh.BitExact, fresh.Drained)
-	return nil
-}
-
-// perfgateServe gates the serving layer: same generous ops/sec
-// tolerance as the throughput gate, plus the machine-independent
-// invariants — bit-exactness, coalescing actually sharing ModUps, the
-// key cache actually hitting (globally and per tenant), resident key
-// bytes within the budget, and keyspace isolation (every ModUp belongs
-// to exactly one tenant; no tenant starved) — which must hold at any
-// speed. A baseline with tenant stats pins them in the fresh report
-// too, so dropping -tenants from the bench flags cannot silently
-// vacate the isolation half of the gate.
-func perfgateServe(baselinePath, freshPath string, maxRegression float64, failures *[]string) error {
-	base, err := readServeReport(baselinePath)
-	if err != nil {
-		return fmt.Errorf("serve baseline: %w", err)
-	}
-	fresh, err := readServeReport(freshPath)
-	if err != nil {
-		return fmt.Errorf("serve fresh: %w", err)
-	}
-	ratio := fresh.OpsPerSec / base.OpsPerSec
-	status := "ok"
-	if fresh.OpsPerSec*maxRegression < base.OpsPerSec {
-		status = "FAIL"
-		*failures = append(*failures,
-			fmt.Sprintf("serve: %.2f ops/sec vs baseline %.2f (>%.1fx regression)",
-				fresh.OpsPerSec, base.OpsPerSec, maxRegression))
-	}
-	fmt.Printf("%-8s %14.2f %14.2f %7.2fx %6s\n", "serve", base.OpsPerSec, fresh.OpsPerSec, ratio, status)
-	if !fresh.BitExact {
-		*failures = append(*failures, "serve: results not bit-exact with direct SwitchHoisted")
-	}
-	if fresh.CoalescingFactor <= 1 {
-		*failures = append(*failures,
-			fmt.Sprintf("serve: coalescing factor %.2f, want > 1", fresh.CoalescingFactor))
-	}
-	if fresh.KeyHitRate <= 0.5 {
-		*failures = append(*failures,
-			fmt.Sprintf("serve: key cache hit rate %.2f, want > 0.5", fresh.KeyHitRate))
-	}
-	if fresh.KeyBudget > 0 && fresh.KeyBytes > fresh.KeyBudget {
-		*failures = append(*failures,
-			fmt.Sprintf("serve: resident key bytes %d exceed the %d budget", fresh.KeyBytes, fresh.KeyBudget))
-	}
-	// Compression invariants. The baseline pins both the compressed
-	// form and the (halved) budget: a bench run without -keycomp, or
-	// with the budget quietly loosened back up, must not pass.
-	if base.KeyComp && !fresh.KeyComp {
-		*failures = append(*failures,
-			"serve: baseline caches compressed keys but the fresh run does not (bench run without -keycomp?)")
-	}
-	if base.KeyBudget > 0 && fresh.KeyBudget > base.KeyBudget {
-		*failures = append(*failures,
-			fmt.Sprintf("serve: fresh key budget %d above baseline %d (bench run with a loosened budget?)",
-				fresh.KeyBudget, base.KeyBudget))
-	}
-	if fresh.KeyComp {
-		if fresh.KeyExpansions == 0 {
-			*failures = append(*failures, "serve: compressed run counted no streamed key expansions")
-		}
-		if fresh.KeyDenseBytes <= fresh.KeyBytes {
-			*failures = append(*failures,
-				fmt.Sprintf("serve: dense-equivalent footprint %d not above compressed resident %d",
-					fresh.KeyDenseBytes, fresh.KeyBytes))
-		}
-	}
-	if len(fresh.Tenants) < len(base.Tenants) {
-		*failures = append(*failures,
-			fmt.Sprintf("serve: fresh report covers %d tenants, baseline %d (bench run with a smaller -tenants matrix?)",
-				len(fresh.Tenants), len(base.Tenants)))
-	}
-	var tenantModUps uint64
-	for _, ts := range fresh.Tenants {
-		if ts.KeyHitRate <= 0.5 {
-			*failures = append(*failures,
-				fmt.Sprintf("serve: tenant %s key hit rate %.2f, want > 0.5", ts.Tenant, ts.KeyHitRate))
-		}
-		if ts.Served == 0 {
-			*failures = append(*failures,
-				fmt.Sprintf("serve: tenant %s served nothing (starved)", ts.Tenant))
-		}
-		tenantModUps += ts.ModUps
-	}
-	if len(fresh.Tenants) > 0 && tenantModUps != fresh.ModUps {
-		*failures = append(*failures,
-			fmt.Sprintf("serve: per-tenant ModUps sum %d != global %d (cross-tenant coalescing)",
-				tenantModUps, fresh.ModUps))
-	}
-	// Observability pins: a baseline with stage shares or phase
-	// counters keeps them in the fresh report, so the bench flags
-	// cannot silently drop -profile or lose the lifecycle counters.
-	if len(base.StageShares) > 0 {
-		if len(fresh.StageShares) == 0 {
-			*failures = append(*failures,
-				"serve: baseline has stage shares but the fresh report does not (bench run without -profile?)")
-		} else if sum := obs.SumShares(fresh.StageShares); sum <= 0 {
-			*failures = append(*failures,
-				fmt.Sprintf("serve: stage shares sum to %.3f, want > 0", sum))
-		}
-	}
-	if len(base.Phases) > 0 && len(fresh.Phases) == 0 {
-		*failures = append(*failures,
-			"serve: baseline has request-lifecycle phases but the fresh report does not")
-	}
-	form := "dense keys"
-	if fresh.KeyComp {
-		form = fmt.Sprintf("compressed keys (%d expansions, dense-equivalent %d bytes)",
-			fresh.KeyExpansions, fresh.KeyDenseBytes)
-	}
-	fmt.Printf("serve coalescing %.2fx, key hit rate %.0f%%, %d tenants, resident %d/%d key bytes, %s\n",
-		fresh.CoalescingFactor, 100*fresh.KeyHitRate, len(fresh.Tenants), fresh.KeyBytes, fresh.KeyBudget, form)
-	return nil
-}
-
-// perfgateConfig names the report pairs the gate compares. Baseline
-// is always required; each optional baseline/fresh pair extends the
-// gate to another layer — serve (serving layer), workload (generated
-// schedule-DAG replay), scenario (imported library scenario replay),
-// cluster (sharded serving fabric).
-type perfgateConfig struct {
-	Baseline, Fresh                 string
-	MaxRegression                   float64
-	ServeBaseline, ServeFresh       string
-	WorkloadBaseline, WorkloadFresh string
-	ScenarioBaseline, ScenarioFresh string
-	ClusterBaseline, ClusterFresh   string
-}
-
-// perfgate compares fresh against baseline; MaxRegression is the
-// allowed ops/sec ratio (2.0 = fail only when fresh is less than half
-// the baseline). Each optional pair in the config extends the gate to
-// another layer's reports.
-func perfgate(cfg perfgateConfig) error {
-	if cfg.MaxRegression < 1 {
-		return fmt.Errorf("max regression %g must be >= 1", cfg.MaxRegression)
-	}
-	maxRegression := cfg.MaxRegression
-	if (cfg.ServeBaseline == "") != (cfg.ServeFresh == "") {
-		return fmt.Errorf("-serve-baseline and -serve-fresh must be given together")
-	}
-	if (cfg.WorkloadBaseline == "") != (cfg.WorkloadFresh == "") {
-		return fmt.Errorf("-workload-baseline and -workload-fresh must be given together")
-	}
-	if (cfg.ScenarioBaseline == "") != (cfg.ScenarioFresh == "") {
-		return fmt.Errorf("-scenario-baseline and -scenario-fresh must be given together")
-	}
-	if (cfg.ClusterBaseline == "") != (cfg.ClusterFresh == "") {
-		return fmt.Errorf("-cluster-baseline and -cluster-fresh must be given together")
-	}
-	base, err := readReport(cfg.Baseline)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	fresh, err := readReport(cfg.Fresh)
-	if err != nil {
-		return fmt.Errorf("fresh: %w", err)
-	}
-	if !fresh.BitExact {
-		return fmt.Errorf("fresh report is not bit-exact with the serial pipeline")
-	}
-
-	baseRows := map[string]throughputRow{}
-	for _, row := range base.Results {
-		baseRows[row.Dataflow] = row
-	}
-
 	var failures []string
-	fmt.Printf("Perf gate: fresh %s vs baseline %s (fail below 1/%.1fx)\n",
-		cfg.Fresh, cfg.Baseline, maxRegression)
-	fmt.Printf("%-8s %14s %14s %8s %6s\n", "dataflow", "baseline op/s", "fresh op/s", "ratio", "gate")
-	for _, row := range fresh.Results {
-		b, ok := baseRows[row.Dataflow]
+	baseRates := map[string]float64{}
+	for _, r := range g.rates(base) {
+		baseRates[r.label] = r.perSec
+	}
+	for _, r := range g.rates(fresh) {
+		label := r.label
+		if label == "" {
+			label = kind
+		}
+		b, ok := baseRates[r.label]
 		if !ok {
-			fmt.Printf("%-8s %14s %14.2f %8s %6s\n", row.Dataflow, "-", row.OpsPerSec, "-", "new")
+			fmt.Printf("%-8s %14s %14.2f %8s %6s\n", label, "-", r.perSec, "-", "new")
 			continue
 		}
-		ratio := row.OpsPerSec / b.OpsPerSec
 		status := "ok"
-		if row.OpsPerSec*maxRegression < b.OpsPerSec {
+		if r.perSec*maxRegression < b {
 			status = "FAIL"
-			failures = append(failures,
-				fmt.Sprintf("%s: %.2f ops/sec vs baseline %.2f (>%.1fx regression)",
-					row.Dataflow, row.OpsPerSec, b.OpsPerSec, maxRegression))
+			failures = append(failures, fmt.Sprintf("%s: %.2f ops/sec vs baseline %.2f (>%dx regression)",
+				label, r.perSec, b, maxRegression))
 		}
-		fmt.Printf("%-8s %14.2f %14.2f %7.2fx %6s\n", row.Dataflow, b.OpsPerSec, row.OpsPerSec, ratio, status)
+		fmt.Printf("%-8s %14.2f %14.2f %7.2fx %6s\n", label, b, r.perSec, r.perSec/b, status)
 	}
+	if err := g.check(fresh); err != nil {
+		failures = append(failures, kind+": "+err.Error())
+	}
+	for _, p := range g.pins(base, fresh) {
+		failures = append(failures, kind+": "+p)
+	}
+	fmt.Printf("%s %s\n", kind, g.summary(fresh))
+	return failures, nil
+}
 
-	// Stage-share accounting. The serial row runs the switch pipeline
-	// on one goroutine with no engine underneath, so its profiled
-	// stage times must tile the measured wall time: the share sum is
-	// pinned to 1 within 10%. Engine rows overlap stages across
-	// workers (plus the caller draining the graph), so they only get a
-	// sanity band — nonzero and at most workers+2 times the wall. A
-	// baseline with serial shares pins them in the fresh report, so
-	// dropping -profile from the bench flags cannot vacate the gate.
-	for _, row := range fresh.Results {
-		b, pinned := baseRows[row.Dataflow]
-		if pinned && len(b.StageShares) > 0 && len(row.StageShares) == 0 {
-			failures = append(failures,
-				fmt.Sprintf("%s: baseline has stage shares but the fresh report does not (bench run without -profile?)", row.Dataflow))
+// gateRow is one report kind of the gate. Its flags are
+// -<kind>-baseline and -<kind>-fresh (-baseline and -fresh for the
+// engine row). A row with default paths is always gated; the others
+// only when both of their flags are given.
+type gateRow struct {
+	kind            string
+	baseline, fresh string // default paths
+	gate            func(kind, basePath, freshPath string) ([]string, error)
+}
+
+func (r gateRow) flagNames() (string, string) {
+	if r.kind == "engine" {
+		return "baseline", "fresh"
+	}
+	return r.kind + "-baseline", r.kind + "-fresh"
+}
+
+// gateRows is the gate, in the order the bench harness writes the
+// reports. The workload row gates the generated bench schedule and the
+// scenario row the imported library scenario, with the same rules.
+var gateRows = []gateRow{
+	{kind: "engine", baseline: "BENCH_engine.json", fresh: "bench_fresh.json", gate: engineGate.gate},
+	{kind: "serve", gate: serveGate.gate},
+	{kind: "workload", gate: replayGate.gate},
+	{kind: "scenario", gate: replayGate.gate},
+	{kind: "cluster", gate: clusterGate.gate},
+}
+
+// perfgate runs every row of the gate whose report pair is given;
+// paths maps a row's kind to its (baseline, fresh) paths.
+func perfgate(paths map[string][2]string) error {
+	for _, r := range gateRows {
+		p := paths[r.kind]
+		b, f := r.flagNames()
+		if (p[0] == "") != (p[1] == "") {
+			return fmt.Errorf("-%s and -%s must be given together", b, f)
+		}
+		if r.baseline != "" && p[0] == "" {
+			return fmt.Errorf("-%s and -%s are required", b, f)
+		}
+	}
+	var failures []string
+	fmt.Printf("Perf gate: fail below 1/%dx of the baseline ops/sec\n", maxRegression)
+	fmt.Printf("%-8s %14s %14s %8s %6s\n", "report", "baseline op/s", "fresh op/s", "ratio", "gate")
+	for _, r := range gateRows {
+		p := paths[r.kind]
+		if p[0] == "" {
 			continue
 		}
-		if len(row.StageShares) == 0 {
-			continue
-		}
-		sum := obs.SumShares(row.StageShares)
-		if row.Dataflow == "serial" {
-			if sum < 0.9 || sum > 1.1 {
-				failures = append(failures,
-					fmt.Sprintf("serial: stage shares sum to %.3f of wall time, want within 10%% of 1.0", sum))
-			}
-			fmt.Printf("serial stage shares sum %.3f of wall (gate [0.9, 1.1])\n", sum)
-		} else {
-			limit := float64(fresh.Workers + 2)
-			if sum <= 0 || sum > limit {
-				failures = append(failures,
-					fmt.Sprintf("%s: stage shares sum to %.3f of wall time, want in (0, %.0f] at %d workers",
-						row.Dataflow, sum, limit, fresh.Workers))
-			}
-		}
-	}
-
-	// Hoisting must never lose to the per-rotation path: it executes
-	// strictly less work, so a speedup below 1 means the shared-ModUp
-	// path broke, independent of machine speed. A baseline with a
-	// hoisted section pins that section in the fresh report too —
-	// otherwise dropping -hoisted from the bench flags would silently
-	// make this half of the gate vacuous.
-	if base.Hoisted != nil && fresh.Hoisted == nil {
-		failures = append(failures, "baseline has a hoisted section but the fresh report does not (bench run without -hoisted?)")
-	}
-	if fresh.Hoisted != nil {
-		if !fresh.Hoisted.BitExact {
-			failures = append(failures, "hoisted outputs not bit-exact with per-rotation")
-		}
-		for _, row := range fresh.Hoisted.Results {
-			status := "ok"
-			if row.MeasuredSpeedup < 1 {
-				status = "FAIL"
-				failures = append(failures,
-					fmt.Sprintf("hoisted %s: %.2fx slower than per-rotation", row.Dataflow, row.MeasuredSpeedup))
-			}
-			fmt.Printf("hoisted %-8s %.2fx vs per-rotation (model %.2fx) %s\n",
-				row.Dataflow, row.MeasuredSpeedup, fresh.Hoisted.ModelSpeedup, status)
-		}
-	}
-
-	if cfg.ServeBaseline != "" {
-		if err := perfgateServe(cfg.ServeBaseline, cfg.ServeFresh, maxRegression, &failures); err != nil {
+		f, err := r.gate(r.kind, p[0], p[1])
+		if err != nil {
 			return err
 		}
+		failures = append(failures, f...)
 	}
-	if cfg.WorkloadBaseline != "" {
-		if err := perfgateWorkload("workload", cfg.WorkloadBaseline, cfg.WorkloadFresh, maxRegression, &failures); err != nil {
-			return err
-		}
-	}
-	if cfg.ScenarioBaseline != "" {
-		if err := perfgateWorkload("scenario", cfg.ScenarioBaseline, cfg.ScenarioFresh, maxRegression, &failures); err != nil {
-			return err
-		}
-	}
-	if cfg.ClusterBaseline != "" {
-		if err := perfgateCluster(cfg.ClusterBaseline, cfg.ClusterFresh, maxRegression, &failures); err != nil {
-			return err
-		}
-	}
-
 	if len(failures) > 0 {
 		for _, f := range failures {
 			fmt.Fprintln(os.Stderr, "perf regression:", f)
@@ -477,4 +167,188 @@ func perfgate(cfg perfgateConfig) error {
 	}
 	fmt.Println("perf gate passed")
 	return nil
+}
+
+// one is the rates of a report with a single ops/sec figure.
+func one(perSec float64) []opsRate { return []opsRate{{perSec: perSec}} }
+
+var engineGate = reportGate[throughputReport]{
+	empty: func(r *throughputReport) bool { return len(r.Results) == 0 },
+	rates: func(r *throughputReport) []opsRate {
+		var out []opsRate
+		for _, row := range r.Results {
+			out = append(out, opsRate{row.Dataflow, row.OpsPerSec})
+		}
+		return out
+	},
+	check: throughputCheck,
+	pins: func(base, fresh *throughputReport) []string {
+		var out []string
+		profiled := map[string]bool{}
+		for _, row := range base.Results {
+			profiled[row.Dataflow] = len(row.StageShares) > 0
+		}
+		for _, row := range fresh.Results {
+			if profiled[row.Dataflow] && len(row.StageShares) == 0 {
+				out = append(out, row.Dataflow+": baseline has stage shares but the fresh report does not (bench run without -profile?)")
+			}
+		}
+		if base.Hoisted != nil && fresh.Hoisted == nil {
+			out = append(out, "baseline has a hoisted section but the fresh report does not (bench run without -hoisted?)")
+		}
+		return out
+	},
+	summary: func(r *throughputReport) string {
+		s := fmt.Sprintf("%d dataflows, %d workers, bit-exact %v", len(r.Results), r.Workers, r.BitExact)
+		for _, row := range r.Results {
+			if row.Dataflow == "serial" && len(row.StageShares) > 0 {
+				s += fmt.Sprintf(", serial stage shares sum %.3f of wall", obs.SumShares(row.StageShares))
+			}
+		}
+		if h := r.Hoisted; h != nil {
+			for _, row := range h.Results {
+				s += fmt.Sprintf(", hoisted %s %.2fx vs per-rotation (model %.2fx)", row.Dataflow, row.MeasuredSpeedup, h.ModelSpeedup)
+			}
+		}
+		return s
+	},
+}
+
+// throughputCheck is the throughput report's acceptance bar. The
+// engine's outputs must be bit-exact with the serial pipeline. Stage
+// shares must add up: the serial row runs the switch on one goroutine
+// with no engine underneath, so its profiled stages tile its wall time
+// (share sum within 10% of 1), while engine rows overlap stages across
+// workers plus the caller draining the graph and only get a sanity
+// band, (0, workers+2]. Hoisting executes strictly less work than
+// per-rotation switching, so a hoisted speedup below 1 means the
+// shared-ModUp path broke, at any machine speed.
+func throughputCheck(rep *throughputReport) error {
+	if !rep.BitExact {
+		return errors.New("fresh report is not bit-exact with the serial pipeline")
+	}
+	for _, row := range rep.Results {
+		if len(row.StageShares) == 0 {
+			continue
+		}
+		sum := obs.SumShares(row.StageShares)
+		if row.Dataflow == "serial" && (sum < 0.9 || sum > 1.1) {
+			return fmt.Errorf("serial: stage shares sum to %.3f of wall time, want within 10%% of 1.0", sum)
+		}
+		if limit := float64(rep.Workers + 2); row.Dataflow != "serial" && (sum <= 0 || sum > limit) {
+			return fmt.Errorf("%s: stage shares sum to %.3f of wall time, want in (0, %.0f] at %d workers",
+				row.Dataflow, sum, limit, rep.Workers)
+		}
+	}
+	if h := rep.Hoisted; h != nil {
+		if !h.BitExact {
+			return errors.New("hoisted outputs not bit-exact with per-rotation")
+		}
+		for _, row := range h.Results {
+			if row.MeasuredSpeedup < 1 {
+				return fmt.Errorf("hoisted %s: %.2fx slower than per-rotation", row.Dataflow, row.MeasuredSpeedup)
+			}
+		}
+	}
+	return nil
+}
+
+var serveGate = reportGate[serveReport]{
+	empty: func(r *serveReport) bool { return r.Requests == 0 },
+	rates: func(r *serveReport) []opsRate { return one(r.OpsPerSec) },
+	check: serveCheck,
+	// The baseline pins the compressed key form, the (halved) budget,
+	// the tenant matrix and the observability sections: a bench run
+	// without -keycomp, -tenants or -profile, or with the budget
+	// loosened back up, must not pass.
+	pins: func(base, fresh *serveReport) []string {
+		var out []string
+		if base.KeyComp && !fresh.KeyComp {
+			out = append(out, "baseline caches compressed keys but the fresh run does not (bench run without -keycomp?)")
+		}
+		if base.KeyBudget > 0 && fresh.KeyBudget > base.KeyBudget {
+			out = append(out, fmt.Sprintf("fresh key budget %d above baseline %d (bench run with a loosened budget?)",
+				fresh.KeyBudget, base.KeyBudget))
+		}
+		if len(fresh.Tenants) < len(base.Tenants) {
+			out = append(out, fmt.Sprintf("fresh report covers %d tenants, baseline %d (bench run with a smaller -tenants matrix?)",
+				len(fresh.Tenants), len(base.Tenants)))
+		}
+		if len(base.StageShares) > 0 {
+			if len(fresh.StageShares) == 0 {
+				out = append(out, "baseline has stage shares but the fresh report does not (bench run without -profile?)")
+			} else if sum := obs.SumShares(fresh.StageShares); sum <= 0 {
+				out = append(out, fmt.Sprintf("stage shares sum to %.3f, want > 0", sum))
+			}
+		}
+		if len(base.Phases) > 0 && len(fresh.Phases) == 0 {
+			out = append(out, "baseline has request-lifecycle phases but the fresh report does not")
+		}
+		return out
+	},
+	summary: func(r *serveReport) string {
+		return fmt.Sprintf("coalescing %.2fx, key hit rate %.0f%%, %d tenants, resident %d/%d key bytes, keycomp %v (%d expansions)",
+			r.CoalescingFactor, 100*r.KeyHitRate, len(r.Tenants), r.KeyBytes, r.KeyBudget, r.KeyComp, r.KeyExpansions)
+	},
+}
+
+var replayGate = reportGate[workloadReport]{
+	empty: func(r *workloadReport) bool { return r.Served == 0 },
+	rates: func(r *workloadReport) []opsRate { return one(r.OpsPerSec) },
+	check: workloadCheck,
+	// The baseline pins the schedule shape: a smaller, flatter or
+	// shallower (dependency-free) schedule must not pass.
+	pins: func(base, fresh *workloadReport) []string {
+		var out []string
+		b, f := base.Predicted, fresh.Predicted
+		for _, c := range []struct {
+			what        string
+			fresh, base int
+		}{
+			{"switches", f.Switches, b.Switches},
+			{"hoist groups", f.HoistGroups, b.HoistGroups},
+			{"depth", f.Depth, b.Depth},
+		} {
+			if c.fresh < c.base {
+				out = append(out, fmt.Sprintf("fresh schedule has %s %d, baseline %d (bench run with a smaller schedule?)",
+					c.what, c.fresh, c.base))
+			}
+		}
+		return out
+	},
+	summary: func(r *workloadReport) string {
+		return fmt.Sprintf("%s: %d switches, %d/%d ModUps (predicted/measured), hoist coalescing %.2fx, depth %d",
+			r.Schedule, r.Served, r.Predicted.ModUps, r.ModUps, r.HoistCoalescingFactor, r.Predicted.Depth)
+	},
+}
+
+var clusterGate = reportGate[clusterReport]{
+	empty: func(r *clusterReport) bool { return r.Served == 0 },
+	rates: func(r *clusterReport) []opsRate { return one(r.OpsPerSec) },
+	check: clusterCheck,
+	// The baseline pins the fabric shape: fewer shards or tenants, no
+	// mid-replay drain, or no shard profiles (clusterCheck already
+	// checks a profile that is present) must not pass.
+	pins: func(base, fresh *clusterReport) []string {
+		var out []string
+		if fresh.Shards < base.Shards {
+			out = append(out, fmt.Sprintf("fresh report covers %d shards, baseline %d (bench run with fewer shards?)",
+				fresh.Shards, base.Shards))
+		}
+		if fresh.Tenants < base.Tenants {
+			out = append(out, fmt.Sprintf("fresh report covers %d tenants, baseline %d (bench run with fewer tenants?)",
+				fresh.Tenants, base.Tenants))
+		}
+		if base.Drained >= 0 && fresh.Drained < 0 {
+			out = append(out, "baseline drained a shard mid-replay but the fresh run did not (bench run without -kill?)")
+		}
+		if base.Profiled && !fresh.Profiled {
+			out = append(out, "baseline shipped shard stage profiles but the fresh run did not (bench run without -profile?)")
+		}
+		return out
+	},
+	summary: func(r *clusterReport) string {
+		return fmt.Sprintf("%s: %d shards x %d tenants, %d delivered, shard-sum exact %v, bit-exact %v, drained shard %d",
+			r.Schedule, r.Shards, r.Tenants, r.Delivered, r.ShardSumExact, r.BitExact, r.Drained)
+	},
 }

@@ -207,10 +207,7 @@ func TestPerfgateScenario(t *testing.T) {
 	sBase := dir + "/scenario_base.json"
 	writeWorkloadReport(t, sBase, healthy())
 	gate := func(fresh string) error {
-		return perfgate(perfgateConfig{
-			Baseline: basePath, Fresh: basePath, MaxRegression: 2,
-			ScenarioBaseline: sBase, ScenarioFresh: fresh,
-		})
+		return perfgate(map[string][2]string{"engine": {basePath, basePath}, "scenario": {sBase, fresh}})
 	}
 	if err := gate(sBase); err != nil {
 		t.Fatalf("perfgate failed on a healthy scenario report: %v", err)
@@ -248,18 +245,12 @@ func TestPerfgateScenario(t *testing.T) {
 	chain.HoistCoalescingFactor = 0
 	cBase := dir + "/scenario_chain.json"
 	writeWorkloadReport(t, cBase, chain)
-	if err := perfgate(perfgateConfig{
-		Baseline: basePath, Fresh: basePath, MaxRegression: 2,
-		ScenarioBaseline: cBase, ScenarioFresh: cBase,
-	}); err != nil {
+	if err := perfgate(map[string][2]string{"engine": {basePath, basePath}, "scenario": {cBase, cBase}}); err != nil {
 		t.Fatalf("perfgate rejected an honest hoist-free scenario: %v", err)
 	}
 
 	// Half-specified scenario gate flags error out.
-	if err := perfgate(perfgateConfig{
-		Baseline: basePath, Fresh: basePath, MaxRegression: 2,
-		ScenarioBaseline: sBase,
-	}); err == nil || !strings.Contains(err.Error(), "-scenario-baseline and -scenario-fresh") {
+	if err := perfgate(map[string][2]string{"engine": {basePath, basePath}, "scenario": {sBase, ""}}); err == nil || !strings.Contains(err.Error(), "-scenario-baseline and -scenario-fresh") {
 		t.Fatalf("half-specified scenario gate: %v", err)
 	}
 }

@@ -191,11 +191,7 @@ func serveRun(cfg serveConfig) (*serveReport, error) {
 	// pool (switchers hold no secret material). With -keycomp the
 	// source hands the cache seed-compressed material, so the service
 	// expands the a-halves per digit, streamed under the hoist phase.
-	tenantName := func(i int) string { return fmt.Sprintf("t%d", i) }
-	names := make([]string, cfg.tenants)
-	for i := range names {
-		names[i] = tenantName(i)
-	}
+	names := tenantNames(cfg.tenants)
 	src, err := serve.NewSeedKeySource(cctx, names, cfg.keyComp)
 	if err != nil {
 		return nil, err
@@ -265,7 +261,7 @@ func serveRun(cfg serveConfig) (*serveReport, error) {
 		go func(c int) {
 			defer wg.Done()
 			df := dfs[c%len(dfs)]
-			tenant := tenantName(c % cfg.tenants)
+			tenant := names[c%cfg.tenants]
 			level := levelAt(c / cfg.tenants)
 			var tick *time.Ticker
 			if cfg.rps > 0 {
@@ -360,7 +356,7 @@ func serveRun(cfg serveConfig) (*serveReport, error) {
 	rep.BitExact = true
 	pairs := cfg.tenants * cfg.levels // clients >= pairs, checked above
 	for c := 0; c < pairs; c++ {
-		tenant := tenantName(c % cfg.tenants)
+		tenant := names[c%cfg.tenants]
 		level := levelAt(c / cfg.tenants)
 		kc, err := src.Chain(tenant)
 		if err != nil {
@@ -506,16 +502,5 @@ func serveCmd(cfg serveConfig, jsonPath string, check bool, profile bool, traceP
 		}
 	}
 
-	if jsonPath != "" {
-		if err := writeJSONReport(jsonPath, rep); err != nil {
-			return err
-		}
-	}
-	if check {
-		if err := serveCheck(rep); err != nil {
-			return err
-		}
-		fmt.Println("serve check passed")
-	}
-	return nil
+	return finishReport(rep, jsonPath, check, "serve", serveCheck)
 }

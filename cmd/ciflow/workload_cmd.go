@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"ciflow/internal/ckks"
+	"ciflow/internal/dataflow"
 	"ciflow/internal/engine"
 	"ciflow/internal/serve"
 	"ciflow/internal/workload"
@@ -131,47 +132,52 @@ func workloadSchedule(cfg workloadConfig, maxLevel int) (*workload.Schedule, err
 	}
 }
 
-// workloadRun generates the schedule, stands up a one-tenant service
-// over a fresh keyspace, and replays the DAG through it with the
-// serial reference check enabled. Split from the printing so tests
-// can exercise it directly.
-func workloadRun(cfg workloadConfig) (*workloadReport, error) {
-	if cfg.logN < 4 || cfg.logN > 16 {
-		return nil, fmt.Errorf("logn %d out of range [4,16]", cfg.logN)
+// replayParams resolves the flags every schedule replay shares, in one
+// process (serve -workload) and across a sharded fabric (cluster). It
+// checks the logn range. With -dnum left at its default (0) it takes
+// the digit count of the -bts set: -towers fixes the level count, so
+// the digit structure is what the replay inherits from the set. It
+// raises that count when needed so no digit spans more Q towers than
+// the replay ring's three P moduli can cover in ModUp (the K >= alpha
+// constraint the paper's parameter sets satisfy). A replay runs one
+// dataflow; "all", the flag default, selects MP, the paper's baseline.
+func replayParams(logN, towers, dnum, bts int, dfName string) (int, dataflow.Dataflow, error) {
+	if logN < 4 || logN > 16 {
+		return 0, 0, fmt.Errorf("logn %d out of range [4,16]", logN)
 	}
-	bts, err := workload.BTSBenchmark(cfg.bts)
+	set, err := workload.BTSBenchmark(bts)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	if cfg.dnum == 0 {
-		// The BTS sets differ in level count and digit structure; the
-		// level count is fixed by -towers here, so the digit count is
-		// what the replay inherits from the chosen set — raised when
-		// needed so no digit spans more Q towers than the replay
-		// ring's three P moduli can cover in ModUp (the same K ≥ α
-		// constraint the paper's parameter sets satisfy).
-		cfg.dnum = bts.Dnum
-		if min := (cfg.towers + 2) / 3; cfg.dnum < min {
-			cfg.dnum = min
-		}
+	if dnum == 0 {
+		dnum = max(set.Dnum, (towers+2)/3)
 	}
-	if cfg.dnum > cfg.towers {
-		return nil, fmt.Errorf("dnum %d exceeds %d towers", cfg.dnum, cfg.towers)
+	if dnum > towers {
+		return 0, 0, fmt.Errorf("dnum %d exceeds %d towers", dnum, towers)
 	}
-	if cfg.workers <= 0 {
-		cfg.workers = runtime.GOMAXPROCS(0)
-	}
-	// The replay runs one dataflow; "all" (the flag default) selects
-	// MP, the paper's baseline.
-	dfName := cfg.dfName
 	if dfName == "all" {
 		dfName = "mp"
 	}
 	dfs, err := parseThroughputDataflows(dfName)
 	if err != nil {
+		return 0, 0, err
+	}
+	return dnum, dfs[0], nil
+}
+
+// workloadRun generates the schedule, stands up a one-tenant service
+// over a fresh keyspace, and replays the DAG through it with the
+// serial reference check enabled. Split from the printing so tests
+// can exercise it directly.
+func workloadRun(cfg workloadConfig) (*workloadReport, error) {
+	dnum, df, err := replayParams(cfg.logN, cfg.towers, cfg.dnum, cfg.bts, cfg.dfName)
+	if err != nil {
 		return nil, err
 	}
-	df := dfs[0]
+	cfg.dnum = dnum
+	if cfg.workers <= 0 {
+		cfg.workers = runtime.GOMAXPROCS(0)
+	}
 
 	n := 1 << cfg.logN
 	cctx, err := ckks.NewContext(n, cfg.towers, 40, 3, 41, cfg.dnum)
@@ -241,30 +247,23 @@ func workloadRun(cfg workloadConfig) (*workloadReport, error) {
 }
 
 // workloadCheck enforces the acceptance bar behind `serve -workload
-// ... -check`: the replay must be bit-exact with serial execution of
-// the same schedule, the measured counters must equal the schedule's
-// predictions exactly (one ModUp per group — zero coalesces across
-// chain steps, none missing inside fan-outs), dependency order must
-// hold, and any hoist groups must actually coalesce (factor > 1).
-// A schedule without hoistable fan-outs (evalmod's pure relin chain)
-// passes on the exact counts alone — its prediction is *zero*
-// coalesces, which CountsExact already enforces.
+// ... -check`: the shared replay verdict, workload.ReplayResult.Verdict,
+// over the report's fields.
 func workloadCheck(rep *workloadReport) error {
-	if !rep.BitExact {
-		return fmt.Errorf("workload check: replay not bit-exact with serial schedule execution")
-	}
-	if !rep.CountsExact {
-		return fmt.Errorf("workload check: measured counters drifted from the schedule's prediction: %v",
-			rep.Mismatches)
-	}
-	if rep.DepViolations != 0 {
-		return fmt.Errorf("workload check: %d dependency-order violations", rep.DepViolations)
-	}
-	if rep.Predicted.HoistGroups > 0 && rep.HoistCoalescingFactor <= 1 {
-		return fmt.Errorf("workload check: hoist-group coalescing factor %.2f, want > 1",
-			rep.HoistCoalescingFactor)
+	if err := rep.replay().Verdict(); err != nil {
+		return fmt.Errorf("workload check: %w", err)
 	}
 	return nil
+}
+
+// replay is the report's verdict half as a workload.ReplayResult; the
+// report's BitExact already folds in that the reference check ran.
+func (rep *workloadReport) replay() *workload.ReplayResult {
+	return &workload.ReplayResult{
+		Predicted: rep.Predicted, CountsExact: rep.CountsExact, Mismatches: rep.Mismatches,
+		HoistCoalescingFactor: rep.HoistCoalescingFactor, DepViolations: rep.DepViolations,
+		Checked: rep.BitExact, BitExact: rep.BitExact,
+	}
 }
 
 func workloadCmd(cfg workloadConfig, jsonPath string, check bool) error {
@@ -294,18 +293,7 @@ func workloadCmd(cfg workloadConfig, jsonPath string, check bool) error {
 		fmt.Printf("  mismatch: %s\n", m)
 	}
 
-	if jsonPath != "" {
-		if err := writeJSONReport(jsonPath, rep); err != nil {
-			return err
-		}
-	}
-	if check {
-		if err := workloadCheck(rep); err != nil {
-			return err
-		}
-		fmt.Println("workload check passed")
-	}
-	return nil
+	return finishReport(rep, jsonPath, check, "workload", workloadCheck)
 }
 
 // log2 returns the exponent of a power-of-two ring degree.

@@ -182,6 +182,10 @@ func TestQuickSubAddRoundTrip(t *testing.T) {
 	}
 }
 
+// sink keeps the benchmark loops' results live; without it the
+// compiler may drop the multiplications as dead code.
+var sink uint64
+
 func BenchmarkMulBarrett(b *testing.B) {
 	m := New(1152921504606830593)
 	x, y := uint64(123456789123456), uint64(987654321987654)
@@ -189,7 +193,7 @@ func BenchmarkMulBarrett(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s = m.Mul(s^x, y)
 	}
-	_ = s
+	sink = s
 }
 
 func BenchmarkMulShoup(b *testing.B) {
@@ -200,5 +204,5 @@ func BenchmarkMulShoup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s = m.MulShoup(s|1, w, ws)
 	}
-	_ = s
+	sink = s
 }

@@ -82,7 +82,7 @@ type ReplayResult struct {
 	// PerLevel is the measured per-level switch/ModUp delta, validated
 	// level by level against Predicted.PerLevel (the server-side
 	// cross-check of the schedule's level mix).
-	PerLevel []LevelCount `json:"per_level,omitempty"`
+	PerLevel []serve.LevelStats `json:"per_level,omitempty"`
 
 	// CountsExact is true when every measured counter equals its
 	// prediction; Mismatches lists the offenders otherwise.
@@ -104,6 +104,31 @@ type ReplayResult struct {
 	// (BitExact is vacuously true when Check was off).
 	Checked  bool `json:"checked"`
 	BitExact bool `json:"bit_exact"`
+}
+
+// Verdict is the acceptance bar of one replay, shared by every caller
+// that turns a replay into a pass/fail: the serial reference ran and
+// matched bit for bit, the measured books equal the schedule's
+// predictions exactly (one ModUp per group — zero coalesces across
+// chain steps, none missing inside fan-outs), dependency order held,
+// and — when the schedule has hoistable fan-outs — the hoist groups
+// actually coalesced (factor > 1). A schedule without fan-outs
+// (evalmod's relin chain) passes on the exact counts alone: its
+// prediction is zero coalesces, which CountsExact already enforces.
+// The error carries the Mismatches lines, so it alone explains a
+// failed replay.
+func (r *ReplayResult) Verdict() error {
+	switch {
+	case !r.Checked || !r.BitExact:
+		return fmt.Errorf("replay not bit-exact with serial schedule execution: %v", r.Mismatches)
+	case !r.CountsExact:
+		return fmt.Errorf("measured counters drifted from the schedule's prediction: %v", r.Mismatches)
+	case r.DepViolations != 0:
+		return fmt.Errorf("%d dependency-order violations", r.DepViolations)
+	case r.Predicted.HoistGroups > 0 && r.HoistCoalescingFactor <= 1:
+		return fmt.Errorf("hoist-group coalescing factor %.2f, want > 1", r.HoistCoalescingFactor)
+	}
+	return nil
 }
 
 // ReplayServiceConfig returns a serve.Config tuned for exact-count
@@ -191,60 +216,22 @@ func Replay(ctx context.Context, svc Server, switchers serve.SwitcherSource, key
 	after := svc.Stats()
 
 	res := &ReplayResult{
-		Predicted:   s.Counts(),
-		Wall:        wall,
-		Served:      after.Served - before.Served,
-		ModUps:      after.ModUps - before.ModUps,
-		Groups:      after.Groups - before.Groups,
-		Coalesced:   after.Coalesced - before.Coalesced,
-		Batches:     after.Batches - before.Batches,
-		CountsExact: true,
-		BitExact:    true,
+		Predicted:     s.Counts(),
+		Wall:          wall,
+		Served:        after.Served - before.Served,
+		ModUps:        after.ModUps - before.ModUps,
+		Groups:        after.Groups - before.Groups,
+		Coalesced:     after.Coalesced - before.Coalesced,
+		Batches:       after.Batches - before.Batches,
+		PerLevel:      perLevelDelta(before.PerLevel, after.PerLevel),
+		DepViolations: rp.depViolations,
+		BitExact:      true,
 	}
-	res.DepViolations = rp.depViolations
-	exact := func(name string, measured uint64, predicted int) {
-		if measured != uint64(predicted) {
-			res.CountsExact = false
-			res.Mismatches = append(res.Mismatches,
-				fmt.Sprintf("%s: measured %d, schedule predicts %d", name, measured, predicted))
-		}
-	}
-	exact("served switches", res.Served, res.Predicted.Switches)
-	exact("mod_ups", res.ModUps, res.Predicted.ModUps)
-	exact("groups", res.Groups, res.Predicted.ModUps)
-	exact("coalesced", res.Coalesced, res.Predicted.Coalesced)
-	res.PerLevel = perLevelDelta(before.PerLevel, after.PerLevel)
-	measured := map[int]LevelCount{}
-	for _, lc := range res.PerLevel {
-		measured[lc.Level] = lc
-	}
-	// Per-level mismatches name the schedule nodes running at the
-	// diverging level, so a -check failure points at the stage that
-	// was split or merged instead of one aggregate number.
-	exactLevel := func(level int, what string, m, p int) {
-		if m == p {
-			return
-		}
-		res.CountsExact = false
-		res.Mismatches = append(res.Mismatches,
-			fmt.Sprintf("level %d %s: measured %d, schedule predicts %d (nodes at this level: %s)",
-				level, what, m, p, s.describeLevel(level)))
-	}
-	for _, p := range res.Predicted.PerLevel {
-		m := measured[p.Level]
-		exactLevel(p.Level, "switches", m.Switches, p.Switches)
-		exactLevel(p.Level, "mod_ups", m.ModUps, p.ModUps)
-		exactLevel(p.Level, "coalesced", m.Coalesced, p.Coalesced)
-		delete(measured, p.Level)
-	}
-	for l, m := range measured {
-		if m.Switches != 0 || m.ModUps != 0 || m.Coalesced != 0 {
-			res.CountsExact = false
-			res.Mismatches = append(res.Mismatches,
-				fmt.Sprintf("level %d: measured %d switches / %d mod_ups / %d coalesced, schedule predicts none",
-					l, m.Switches, m.ModUps, m.Coalesced))
-		}
-	}
+	res.Mismatches = s.CompareBooks(res.Predicted, serve.Stats{
+		Served: res.Served, ModUps: res.ModUps, Groups: res.Groups,
+		Coalesced: res.Coalesced, PerLevel: res.PerLevel,
+	}, 1)
+	res.CountsExact = len(res.Mismatches) == 0
 	if res.Predicted.HoistGroups > 0 {
 		res.HoistCoalescingFactor = float64(res.Coalesced) / float64(res.Predicted.HoistGroups)
 	}
@@ -300,22 +287,78 @@ func (rp *replayer) groupInput(gi int) *ring.Poly {
 func groupSalt(gi int) uint64 { return uint64(gi) + 2 }
 
 // perLevelDelta subtracts two serve per-level snapshots, keeping the
-// descending level order of the after snapshot.
-func perLevelDelta(before, after []serve.LevelStats) []LevelCount {
+// descending level order of the after snapshot and dropping levels
+// the interval did not touch.
+func perLevelDelta(before, after []serve.LevelStats) []serve.LevelStats {
 	prev := map[int]serve.LevelStats{}
 	for _, ls := range before {
 		prev[ls.Level] = ls
 	}
-	var out []LevelCount
+	var out []serve.LevelStats
 	for _, ls := range after {
-		d := LevelCount{
+		p := prev[ls.Level]
+		d := serve.LevelStats{
 			Level:     ls.Level,
-			Switches:  int(ls.Switches - prev[ls.Level].Switches),
-			ModUps:    int(ls.ModUps - prev[ls.Level].ModUps),
-			Coalesced: int(ls.Coalesced - prev[ls.Level].Coalesced),
+			Switches:  ls.Switches - p.Switches,
+			ModUps:    ls.ModUps - p.ModUps,
+			Coalesced: ls.Coalesced - p.Coalesced,
 		}
 		if d.Switches != 0 || d.ModUps != 0 || d.Coalesced != 0 {
 			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// CompareBooks compares measured serve books against copies x the
+// schedule's prediction pred (s.Counts(), passed in so callers that
+// hold it do not recompute it): served switches, ModUps, groups and
+// coalesces in total, and switches, ModUps and coalesces level by
+// level. It returns one line per diverging counter, empty when the
+// books are exact. Per-level lines name the schedule nodes running
+// at the diverging level, so a failure points at the stage that was
+// split or merged instead of one aggregate number. Replay calls it
+// with copies 1 on its stats delta; a sharded fabric replaying the
+// schedule once per tenant calls it with copies = tenants on the
+// books summed across shards.
+func (s *Schedule) CompareBooks(pred Counts, books serve.Stats, copies int) []string {
+	var out []string
+	n := uint64(copies)
+	exact := func(what string, measured uint64, predicted int) {
+		if measured != n*uint64(predicted) {
+			out = append(out, fmt.Sprintf("%s: measured %d, schedule predicts %d",
+				what, measured, n*uint64(predicted)))
+		}
+	}
+	exact("served switches", books.Served, pred.Switches)
+	exact("mod_ups", books.ModUps, pred.ModUps)
+	exact("groups", books.Groups, pred.ModUps)
+	exact("coalesced", books.Coalesced, pred.Coalesced)
+	measured := map[int]serve.LevelStats{}
+	for _, ls := range books.PerLevel {
+		measured[ls.Level] = ls
+	}
+	for _, p := range pred.PerLevel {
+		m := measured[p.Level]
+		for _, c := range []struct {
+			what      string
+			got, want uint64
+		}{
+			{"switches", m.Switches, n * uint64(p.Switches)},
+			{"mod_ups", m.ModUps, n * uint64(p.ModUps)},
+			{"coalesced", m.Coalesced, n * uint64(p.Coalesced)},
+		} {
+			if c.got != c.want {
+				out = append(out, fmt.Sprintf("level %d %s: measured %d, schedule predicts %d (nodes at this level: %s)",
+					p.Level, c.what, c.got, c.want, s.describeLevel(p.Level)))
+			}
+		}
+		delete(measured, p.Level)
+	}
+	for l, m := range measured {
+		if m.Switches != 0 || m.ModUps != 0 || m.Coalesced != 0 {
+			out = append(out, fmt.Sprintf("level %d: measured %d switches / %d mod_ups / %d coalesced, schedule predicts none",
+				l, m.Switches, m.ModUps, m.Coalesced))
 		}
 	}
 	return out

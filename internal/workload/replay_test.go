@@ -2,6 +2,7 @@ package workload
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"ciflow/internal/ckks"
@@ -163,5 +164,79 @@ func TestReplayCancelled(t *testing.T) {
 	if _, err := Replay(ctx, svc, cctx.Switchers(), chains, cctx.R,
 		s, ReplayConfig{Tenant: "t0"}); err == nil {
 		t.Fatal("cancelled replay succeeded")
+	}
+}
+
+// CompareBooks accepts books equal to copies x the prediction and names
+// every diverging counter, with the nodes at a diverging level.
+func TestCompareBooks(t *testing.T) {
+	s, err := Bootstrap(BootstrapParams{LogSlots: 4, Radix: 16, Top: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := s.Counts()
+	books := func(copies uint64) serve.Stats {
+		st := serve.Stats{
+			Served: copies * uint64(pred.Switches), ModUps: copies * uint64(pred.ModUps),
+			Groups: copies * uint64(pred.ModUps), Coalesced: copies * uint64(pred.Coalesced),
+		}
+		for _, p := range pred.PerLevel {
+			st.PerLevel = append(st.PerLevel, serve.LevelStats{Level: p.Level,
+				Switches: copies * uint64(p.Switches), ModUps: copies * uint64(p.ModUps),
+				Coalesced: copies * uint64(p.Coalesced)})
+		}
+		return st
+	}
+	for _, copies := range []int{1, 3} {
+		if m := s.CompareBooks(pred, books(uint64(copies)), copies); len(m) != 0 {
+			t.Fatalf("exact books x%d rejected: %v", copies, m)
+		}
+	}
+	if m := s.CompareBooks(pred, books(1), 2); len(m) == 0 {
+		t.Fatal("one copy's books accepted as two")
+	}
+
+	split := books(2)
+	split.PerLevel[0].ModUps++
+	m := s.CompareBooks(pred, split, 2)
+	if len(m) != 1 || !strings.Contains(m[0], "nodes at this level") {
+		t.Fatalf("split group at level %d: %v", split.PerLevel[0].Level, m)
+	}
+
+	stray := books(1)
+	stray.PerLevel = append(stray.PerLevel, serve.LevelStats{Level: 9, Switches: 1})
+	if m := s.CompareBooks(pred, stray, 1); len(m) != 1 || !strings.Contains(m[0], "predicts none") {
+		t.Fatalf("switch at an unscheduled level: %v", m)
+	}
+}
+
+// Verdict fails on each broken invariant and passes a hoist-free
+// schedule on its exact counts alone.
+func TestReplayVerdict(t *testing.T) {
+	good := func() *ReplayResult {
+		r := &ReplayResult{CountsExact: true, Checked: true, BitExact: true, HoistCoalescingFactor: 3}
+		r.Predicted.HoistGroups = 2
+		return r
+	}
+	if err := good().Verdict(); err != nil {
+		t.Fatal(err)
+	}
+	for name, mut := range map[string]func(*ReplayResult){
+		"unchecked":  func(r *ReplayResult) { r.Checked = false },
+		"inexact":    func(r *ReplayResult) { r.BitExact = false },
+		"drift":      func(r *ReplayResult) { r.CountsExact = false },
+		"dep-order":  func(r *ReplayResult) { r.DepViolations = 1 },
+		"no-coalesc": func(r *ReplayResult) { r.HoistCoalescingFactor = 1 },
+	} {
+		r := good()
+		mut(r)
+		if r.Verdict() == nil {
+			t.Errorf("%s: verdict passed", name)
+		}
+	}
+	chain := good()
+	chain.Predicted.HoistGroups, chain.HoistCoalescingFactor = 0, 0
+	if err := chain.Verdict(); err != nil {
+		t.Errorf("hoist-free replay rejected: %v", err)
 	}
 }
